@@ -12,7 +12,6 @@ Usage:
 
 import argparse
 import sys
-import tempfile
 from datetime import time
 
 from trafficflow import core, evaluation, ingestion, models, training
@@ -47,7 +46,6 @@ def main() -> int:
         train_cfg = training.TrainConfig(
             model="cnn", epochs=args.epochs, lr=args.lr, seed=seed,
             split=training.by_point(3, 3),
-            checkpoint_dir=tempfile.mkdtemp(prefix="rush-ckpt-"),
         )
         params, _ = training.train(dataset, train_cfg)
         model = models.build_predictor(params)

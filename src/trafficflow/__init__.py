@@ -9,7 +9,6 @@ predictions through a decentralized per-node simulation.
 __version__ = "0.1.0"
 
 from .core import (
-    NetworkSnapshot,
     NetworkSpec,
     PointId,
     PointSnapshot,
@@ -37,7 +36,6 @@ from .training import TrainConfig, TrainReport, by_point, by_time, split, train
 
 __all__ = [
     "__version__",
-    "NetworkSnapshot",
     "NetworkSpec",
     "PointId",
     "PointSnapshot",

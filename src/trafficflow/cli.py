@@ -200,9 +200,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     dataset = ingestion.load_dataset(args.dataset)
-    if dataset.series is None:
-        print("error: dataset file carries no source series; regenerate with ingest/synth", file=sys.stderr)
-        return 1
     predictor = models.build_predictor(models.load_file(args.model))
     log = simulation.run(list(dataset.series), dataset.spec, dataset.config, predictor, ticks=args.ticks)
     lines = []
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="replay a dataset through decentralized nodes")
-    p.add_argument("--dataset", required=True, help="dataset file with embedded series")
+    p.add_argument("--dataset", required=True, help="dataset file")
     p.add_argument("--model", required=True)
     p.add_argument("--ticks", type=int, default=None)
     p.add_argument("--out", required=True, help="line-delimited prediction log")

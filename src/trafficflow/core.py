@@ -25,7 +25,6 @@ __all__ = [
     "NetworkSpec",
     "SnapshotConfig",
     "PointSnapshot",
-    "NetworkSnapshot",
     "check_condition",
     "chain_network",
     "neighbor_rows",
@@ -125,9 +124,6 @@ class NetworkSpec:
                 return k
         raise KeyError(f"unknown point {point}")
 
-    def speed_limit_of(self, point: PointId) -> float:
-        return self.speed_limits[self.position_of(point)]
-
 
 def chain_network(
     n_points: int,
@@ -213,25 +209,3 @@ class PointSnapshot:
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    """All point snapshots of a network sharing a single timestamp."""
-
-    snapshots: tuple[PointSnapshot, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        if not self.snapshots:
-            raise ValueError("a network snapshot needs at least one point snapshot")
-        first = self.snapshots[0]
-        for snap in self.snapshots[1:]:
-            if snap.timestamp != first.timestamp:
-                raise ValueError("member snapshots must share one timestamp")
-            if snap.matrix.shape != first.matrix.shape:
-                raise ValueError("member snapshots must share one geometry")
-
-    @property
-    def timestamp(self) -> datetime:
-        return self.snapshots[0].timestamp

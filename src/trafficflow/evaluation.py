@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date as date_type
+from datetime import datetime
 from datetime import time as time_type
 from pathlib import Path
 from typing import Callable, Sequence
@@ -85,30 +86,32 @@ class PersistencePredictor:
         return self.predict(snap.matrix)
 
     def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
-        return dataset.arrays()["matrix"][:, self.center_row, -1].copy()
+        w = dataset.windows
+        return w.grid[w.centre, w.column]
 
 
 def daily_rmse(predictor, dataset: Dataset, model_name: str | None = None) -> list[DailyRmseRecord]:
     """One RMSE record per (point, calendar day) present in the dataset."""
     name = model_name or getattr(predictor, "kind", "model")
     preds = predictor.predict_dataset(dataset)
-    targets = dataset.arrays()["target"]
-    sq_err = (preds - targets) ** 2
+    sq_err = (preds - dataset.targets()) ** 2
+    orders, days = dataset.point_order(), dataset.times().astype("datetime64[D]")
 
+    # cells in (point, day) order, each cell's errors ascending: summing in
+    # sorted order makes the statistic exactly independent of snapshot order
+    rows = np.lexsort((sq_err, days, orders))
+    orders, days, sq_err = orders[rows], days[rows], sq_err[rows]
+    _, starts = np.unique(np.stack([orders, days.astype(np.int64)]), axis=1, return_index=True)
+    ends = np.append(starts[1:], len(rows))
     by_point = {p.order_index: p for p in dataset.spec.points}
-    cells: dict[tuple[int, date_type], list[float]] = {}
-    for i, snap in enumerate(dataset.snapshots):
-        cells.setdefault((snap.point.order_index, snap.timestamp.date()), []).append(sq_err[i])
     return [
         DailyRmseRecord(
-            point=by_point[order],
-            date=day,
-            # summing in sorted order makes the statistic exactly
-            # independent of snapshot order
-            rmse=float(np.sqrt(np.mean(np.sort(errors)))),
+            point=by_point[int(orders[lo])],
+            date=days[lo].item(),
+            rmse=float(np.sqrt(np.mean(sq_err[lo:hi]))),
             model=name,
         )
-        for (order, day), errors in sorted(cells.items())
+        for lo, hi in zip(starts, ends)
     ]
 
 
@@ -139,41 +142,35 @@ def boxplot_summary(records: Sequence[DailyRmseRecord]) -> list[BoxplotSummary]:
     return out
 
 
-def _point_indices(dataset: Dataset, point: PointId) -> list[int]:
-    idx = [i for i, s in enumerate(dataset.snapshots) if s.point.order_index == point.order_index]
-    if not idx:
+def _point_rows(predictor, dataset: Dataset, point: PointId, keep) -> list[tuple[datetime, float, float]]:
+    """(timestamp, predicted, actual) of the point's snapshots whose
+    timestamps pass ``keep`` (datetime64 array to mask), chronological."""
+    rows = np.flatnonzero(dataset.point_order() == point.order_index)
+    if not rows.size:
         raise UnknownPointError(f"point {point.id!r} has no snapshots in this dataset")
-    return idx
+    preds = predictor.predict_dataset(dataset)
+    times = dataset.times()[rows]
+    chosen = np.flatnonzero(keep(times))
+    chosen = chosen[np.argsort(times[chosen], kind="stable")]
+    targets = dataset.targets()
+    return [(times[j].item(), float(preds[rows[j]]), float(targets[rows[j]])) for j in chosen]
 
 
 def slot_series(
     predictor, dataset: Dataset, point: PointId, slot: time_type
 ) -> list[tuple[date_type, float, float]]:
     """(date, predicted, actual) at one fixed time of day, chronological."""
-    indices = _point_indices(dataset, point)
-    preds = predictor.predict_dataset(dataset)
-    rows = []
-    for i in indices:
-        snap = dataset.snapshots[i]
-        if snap.timestamp.time() == slot:
-            rows.append((snap.timestamp.date(), float(preds[i]), float(snap.target)))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    offset = np.timedelta64(datetime.combine(date_type.min, slot) - datetime.min)
+    rows = _point_rows(predictor, dataset, point, lambda t: t - t.astype("datetime64[D]") == offset)
+    return [(ts.date(), pred, actual) for ts, pred, actual in rows]
 
 
 def day_curve(
     predictor, dataset: Dataset, point: PointId, day: date_type
 ) -> list[tuple[time_type, float, float]]:
     """(time, predicted, actual) across one calendar day for one point."""
-    indices = _point_indices(dataset, point)
-    preds = predictor.predict_dataset(dataset)
-    rows = []
-    for i in indices:
-        snap = dataset.snapshots[i]
-        if snap.timestamp.date() == day:
-            rows.append((snap.timestamp.time(), float(preds[i]), float(snap.target)))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    rows = _point_rows(predictor, dataset, point, lambda t: t.astype("datetime64[D]") == np.datetime64(day))
+    return [(ts.time(), pred, actual) for ts, pred, actual in rows]
 
 
 def mae_contrast(
@@ -185,8 +182,7 @@ def mae_contrast(
     n_dip, n_flat) with NaN for an empty group.
     """
     preds = predictor.predict_dataset(dataset)
-    targets = dataset.arrays()["target"]
-    abs_err = np.abs(preds - targets)
+    abs_err = np.abs(preds - dataset.targets())
     mask = np.array([bool(is_dip(i)) for i in range(dataset.z)])
     dip = abs_err[mask]
     flat = abs_err[~mask]
@@ -196,10 +192,10 @@ def mae_contrast(
 
 
 def _default_point(dataset: Dataset) -> PointId:
-    orders = sorted({s.point.order_index for s in dataset.snapshots})
-    if not orders:
+    orders = np.unique(dataset.point_order())
+    if not orders.size:
         raise UnknownPointError("dataset has no snapshots")
-    middle = orders[len(orders) // 2]
+    middle = int(orders[len(orders) // 2])
     return next(p for p in dataset.spec.points if p.order_index == middle)
 
 
@@ -212,8 +208,7 @@ def evaluate_models(
 ) -> EvalReport:
     """Full evaluation for one or more predictors over one test dataset."""
     point = point or _default_point(dataset)
-    all_days = sorted({s.timestamp.date() for s in dataset.snapshots})
-    curve_day = curve_day or all_days[0]
+    curve_day = curve_day or dataset.times().min().item().date()
 
     records: list[DailyRmseRecord] = []
     series: dict[str, list[tuple]] = {}

@@ -10,9 +10,9 @@ the detectors, then one row per measurement:
 Missing time slots are simply absent rows.  Cleaning fills interior gaps by
 linear interpolation (a single missing slot gets the mean of its two
 neighbours), converts speeds to conditions ``min(1, speed / speed_limit)``,
-and refuses to extrapolate over leading or trailing gaps.  Windowing slides
-over the aligned series and emits one PointSnapshot per eligible point per
-step that has full history and a future target.
+and refuses to extrapolate over leading or trailing gaps.  Windowing stacks
+the aligned series into one condition grid and addresses one snapshot per
+eligible point per step that has full history and a future target.
 
 The module also generates synthetic traffic (seeded, with rush-hour dips
 that propagate downstream) so the whole pipeline can be exercised without
@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .core import (
-    NetworkSnapshot,
     NetworkSpec,
     PointId,
     PointSnapshot,
@@ -39,7 +39,7 @@ from .core import (
     chain_network,
 )
 from .rng import stream
-from .serialization import atomic_write_bytes, read_container, write_container
+from .serialization import ContainerFormatError, atomic_write_bytes, read_container, write_container
 
 __all__ = [
     "FormatError",
@@ -49,7 +49,9 @@ __all__ = [
     "MisalignedSeriesError",
     "RawSeries",
     "CleanSeries",
+    "Windows",
     "Dataset",
+    "Snapshots",
     "RushHourDip",
     "SyntheticProfile",
     "SynthJob",
@@ -58,10 +60,10 @@ __all__ = [
     "write_raw_file",
     "clean",
     "context_scalars",
+    "aligned_grid",
     "window",
     "synth",
     "dip_mask",
-    "network_snapshots",
     "save_dataset",
     "load_dataset",
     "dataset_to_bytes",
@@ -71,9 +73,7 @@ __all__ = [
 ]
 
 DATASET_MAGIC = b"TRAFFICFLOW-DATASET\n"
-DATASET_FORMAT_VERSION = 1
-
-_EPOCH = datetime(1970, 1, 1)
+DATASET_FORMAT_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -355,70 +355,172 @@ def context_scalars(timestamp: datetime) -> tuple[float, float]:
 # dataset
 
 
-@dataclass
+class Windows(NamedTuple):
+    """Snapshots as windows over one (P, T) condition grid.
+
+    Snapshot i is centred on grid row ``centre[i]`` and its newest matrix
+    column is grid column ``column[i]``; grid column 0 is at ``start``.
+    """
+
+    grid: np.ndarray
+    start: datetime
+    centre: np.ndarray
+    column: np.ndarray
+
+
+def _read_only(array) -> np.ndarray:
+    array = np.asarray(array)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
+def _check_index(name: str, index: np.ndarray, lo: int, hi: int) -> None:
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer array, got {index.dtype} {index.shape}")
+    if index.size and (int(index.min()) < lo or int(index.max()) >= hi):
+        raise ValueError(f"{name} indices must lie in [{lo}, {hi})")
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Windowed snapshots plus the network and config that produced them.
 
-    ``series`` optionally keeps the aligned source conditions so a dataset
-    file can be replayed tick-by-tick (the decentralized simulation needs
-    the per-point series, including boundary publishers).
+    The grid is stored once, read-only, and shared by subsets; so every
+    dataset, a split included, carries the series the simulation replays.
+    Snapshot fields are computed as whole columns; ``snapshots[i]`` builds
+    one PointSnapshot on request.  Raises ValueError unless the grid lies in
+    [0, 1] with one row per network point and every window fits the grid
+    with a known target.
     """
 
-    snapshots: list[PointSnapshot]
+    windows: Windows
     config: SnapshotConfig
     spec: NetworkSpec
-    series: tuple[CleanSeries, ...] | None = None
-    _cache: dict | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        grid, start, centre, column = self.windows
+        grid, centre, column = _read_only(grid), _read_only(centre), _read_only(column)
+        object.__setattr__(self, "windows", Windows(grid, start, centre, column))
+        if grid.ndim != 2 or grid.dtype != np.float64 or grid.shape[0] != len(self.spec.points):
+            raise ValueError(
+                f"condition grid must be float64 with {len(self.spec.points)} rows, got {grid.dtype} {grid.shape}"
+            )
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):
+            raise ValueError("condition grid values must lie in [0, 1]")
+        cfg = self.config
+        _check_index("centre", centre, cfg.n_in, grid.shape[0] - cfg.m_out)
+        _check_index("column", column, cfg.delta, grid.shape[1] - cfg.horizon_steps)
+        if len(centre) != len(column):
+            raise ValueError(f"centre and column lengths differ ({len(centre)} vs {len(column)})")
 
     @property
     def z(self) -> int:
-        return len(self.snapshots)
+        return len(self.windows.centre)
+
+    @property
+    def snapshots(self) -> "Snapshots":
+        return Snapshots(self)
+
+    @property
+    def series(self) -> tuple[CleanSeries, ...]:
+        """The aligned source series, one per network point."""
+        grid, start, _, _ = self.windows
+        step = self.config.step_minutes
+        return tuple(CleanSeries(p, grid[k], start, step) for k, p in enumerate(self.spec.points))
+
+    def subset(self, rows) -> "Dataset":
+        """New dataset over the selected snapshots (a slice or indices), sharing the grid."""
+        w = self.windows
+        return Dataset(w._replace(centre=w.centre[rows], column=w.column[rows]), self.config, self.spec)
+
+    def matrices(self, rows=slice(None)) -> np.ndarray:
+        """Condition matrices (n, R, C) of the selected rows, gathered from the grid."""
+        cfg, w = self.config, self.windows
+        centre, column = w.centre[rows], w.column[rows]
+        if not len(centre):
+            return np.zeros((0, cfg.rows, cfg.cols))
+        views = np.lib.stride_tricks.sliding_window_view(w.grid, (cfg.rows, cfg.cols))
+        return views[centre - cfg.n_in, column - cfg.delta]
+
+    def targets(self) -> np.ndarray:
+        """The centre point's condition ``horizon_steps`` after each snapshot."""
+        w = self.windows
+        return w.grid[w.centre, w.column + self.config.horizon_steps]
+
+    def point_order(self) -> np.ndarray:
+        """Order index of each snapshot's centre point."""
+        orders = np.array([p.order_index for p in self.spec.points], dtype=np.int64)
+        return orders[self.windows.centre]
+
+    def times(self) -> np.ndarray:
+        """Time of each snapshot's newest matrix column, as datetime64[us]."""
+        w = self.windows
+        return np.datetime64(w.start, "us") + w.column * np.timedelta64(self.config.step_minutes, "m")
+
+    def context(self) -> tuple[np.ndarray, np.ndarray]:
+        """Day and time scalars of each snapshot, as ``context_scalars`` gives them."""
+        times = self.times()
+        days = times.astype("datetime64[D]")
+        day_index = (days.astype(np.int64) + 4) % 7  # 1970-01-01 was a Thursday; Sunday is 0
+        bucket = (times - days) // np.timedelta64(30, "m")
+        return day_index / 6.0, bucket / 47.0
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Stacked snapshot fields, cached: matrix (Z,R,C), day/time/target (Z,),
-        point_order (Z,) and timestamp epoch seconds (Z,)."""
-        if self._cache is None:
-            if self.snapshots:
-                matrix = np.stack([s.matrix for s in self.snapshots])
-                day = np.array([s.day_value for s in self.snapshots])
-                time_v = np.array([s.time_value for s in self.snapshots])
-                target = np.array([s.target for s in self.snapshots])
-                order = np.array([s.point.order_index for s in self.snapshots], dtype=np.int64)
-                stamps = np.array([_to_epoch(s.timestamp) for s in self.snapshots], dtype=np.int64)
-            else:
-                matrix = np.zeros((0, self.config.rows, self.config.cols))
-                day = np.zeros(0)
-                time_v = np.zeros(0)
-                target = np.zeros(0)
-                order = np.zeros(0, dtype=np.int64)
-                stamps = np.zeros(0, dtype=np.int64)
-            self._cache = {
-                "matrix": matrix,
-                "day": day,
-                "time": time_v,
-                "target": target,
-                "point_order": order,
-                "timestamp": stamps,
-            }
-        return self._cache
+        """Every snapshot field as a column: matrix (Z,R,C), day/time/target
+        (Z,), point_order (Z,) and timestamp epoch seconds (Z,)."""
+        day, time_v = self.context()
+        micros = self.times().astype(np.int64)
+        return {
+            "matrix": self.matrices(),
+            "day": day,
+            "time": time_v,
+            "target": self.targets(),
+            "point_order": self.point_order(),
+            # truncated toward zero, as int(timedelta.total_seconds()) is
+            "timestamp": np.sign(micros) * (np.abs(micros) // 1_000_000),
+        }
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """New dataset over a snapshot subset (source series are dropped)."""
-        return Dataset(
-            snapshots=[self.snapshots[i] for i in indices],
-            config=self.config,
-            spec=self.spec,
-            series=None,
+
+class Snapshots(Sequence):
+    """A dataset's snapshots, built one at a time on request.
+
+    An integer index gives a validated PointSnapshot.  A slice gives the
+    Windows of those rows, which the Dataset constructor takes.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return self._dataset.z
+
+    def __getitem__(self, i):
+        ds = self._dataset
+        if isinstance(i, slice):
+            return ds.subset(i).windows
+        i = range(ds.z)[i]
+        cfg, w = ds.config, ds.windows
+        k, t = int(w.centre[i]), int(w.column[i])
+        timestamp = w.start + timedelta(minutes=cfg.step_minutes * t)
+        day_value, time_value = context_scalars(timestamp)
+        return PointSnapshot(
+            matrix=w.grid[k - cfg.n_in : k + cfg.m_out + 1, t - cfg.delta : t + 1],
+            day_value=day_value,
+            time_value=time_value,
+            target=float(w.grid[k, t + cfg.horizon_steps]),
+            point=ds.spec.points[k],
+            timestamp=timestamp,
         )
 
 
-def window(clean_series: Sequence[CleanSeries], spec: NetworkSpec, cfg: SnapshotConfig) -> Dataset:
-    """Slide over aligned series and emit every snapshot with a known target.
-
-    Cell (r, j) of a snapshot at time t holds the condition of neighbour row
-    r at time ``t - delta + j``; the target is the centre point's condition
-    at ``t + horizon_steps``.
-    """
+def aligned_grid(
+    clean_series: Sequence[CleanSeries], spec: NetworkSpec, step_minutes: int
+) -> tuple[np.ndarray, datetime]:
+    """The (P, T) condition grid of one series per network point, in network
+    order, and the time of its column 0.  Raises MisalignedSeriesError unless
+    the series cover every point once and share one start, length and step."""
     by_order = {s.point.order_index: s for s in clean_series}
     if len(by_order) != len(clean_series):
         raise MisalignedSeriesError("duplicate series for one point")
@@ -431,39 +533,25 @@ def window(clean_series: Sequence[CleanSeries], spec: NetworkSpec, cfg: Snapshot
     ordered = [by_order[p.order_index] for p in spec.points]
     first = ordered[0]
     for s in ordered:
-        if s.start != first.start or len(s) != len(first) or s.step_minutes != cfg.step_minutes:
+        if s.start != first.start or len(s) != len(first) or s.step_minutes != step_minutes:
             raise MisalignedSeriesError(f"{s.point.id}: series grid differs")
-
-    values = np.stack([s.values for s in ordered])  # (P, T)
-    n_slots = values.shape[1]
-    snapshots: list[PointSnapshot] = []
-    step = timedelta(minutes=cfg.step_minutes)
-    for k, point in enumerate(spec.points):
-        if k - cfg.n_in < 0 or k + cfg.m_out > len(spec.points) - 1:
-            continue
-        block = values[k - cfg.n_in : k + cfg.m_out + 1]
-        for t in range(cfg.delta, n_slots - cfg.horizon_steps):
-            ts = first.start + step * t
-            day_value, time_value = context_scalars(ts)
-            snapshots.append(
-                PointSnapshot(
-                    matrix=block[:, t - cfg.delta : t + 1].copy(),
-                    day_value=day_value,
-                    time_value=time_value,
-                    target=float(values[k, t + cfg.horizon_steps]),
-                    point=point,
-                    timestamp=ts,
-                )
-            )
-    return Dataset(snapshots=snapshots, config=cfg, spec=spec, series=tuple(ordered))
+    return np.stack([s.values for s in ordered]), first.start
 
 
-def network_snapshots(dataset: Dataset) -> list[NetworkSnapshot]:
-    """Group a dataset's snapshots into per-timestamp network snapshots."""
-    groups: dict[datetime, list[PointSnapshot]] = {}
-    for snap in dataset.snapshots:
-        groups.setdefault(snap.timestamp, []).append(snap)
-    return [NetworkSnapshot(tuple(groups[ts])) for ts in sorted(groups)]
+def window(clean_series: Sequence[CleanSeries], spec: NetworkSpec, cfg: SnapshotConfig) -> Dataset:
+    """Window aligned series into every snapshot with a known target.
+
+    Cell (r, j) of a snapshot at time t holds the condition of neighbour row
+    r at time ``t - delta + j``; the target is the centre point's condition
+    at ``t + horizon_steps``.  Snapshots are ordered by centre point, then
+    time.
+    """
+    grid, start = aligned_grid(clean_series, spec, cfg.step_minutes)
+    centres = np.arange(cfg.n_in, len(spec.points) - cfg.m_out)
+    columns = np.arange(cfg.delta, grid.shape[1] - cfg.horizon_steps)
+    centre = np.repeat(centres, columns.size)
+    column = np.tile(columns, centres.size)
+    return Dataset(Windows(grid, start, centre, column), cfg, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +688,9 @@ def dip_mask(
 # dataset file format
 
 
-def _to_epoch(ts: datetime) -> int:
-    return int((ts - _EPOCH).total_seconds())
-
-
-def _from_epoch(seconds: int) -> datetime:
-    return _EPOCH + timedelta(seconds=int(seconds))
-
-
 def dataset_to_bytes(dataset: Dataset) -> bytes:
-    cfg = dataset.config
-    arrays = dataset.arrays()
+    """Format version 2: the header, the condition grid and the two index arrays."""
+    cfg, w = dataset.config, dataset.windows
     header = {
         "kind": "dataset",
         "config": {
@@ -628,52 +708,27 @@ def dataset_to_bytes(dataset: Dataset) -> bytes:
             "n_in": dataset.spec.n_in,
             "m_out": dataset.spec.m_out,
         },
-        "count": dataset.z,
-        "has_series": dataset.series is not None,
-        "series_start": dataset.series[0].start.isoformat() if dataset.series else None,
+        "start": w.start.isoformat(),
     }
-    payload = [
-        ("matrix", arrays["matrix"]),
-        ("day", arrays["day"]),
-        ("time", arrays["time"]),
-        ("target", arrays["target"]),
-        ("point_order", arrays["point_order"]),
-        ("timestamp", arrays["timestamp"]),
-    ]
-    if dataset.series is not None:
-        payload.append(("series_values", np.stack([s.values for s in dataset.series])))
+    payload = [("grid", w.grid), ("centre", w.centre), ("column", w.column)]
     return write_container(DATASET_MAGIC, DATASET_FORMAT_VERSION, header, payload)
 
 
 def dataset_from_bytes(data: bytes) -> Dataset:
+    """Parse and verify dataset-file bytes.  Raises ContainerFormatError,
+    ChecksumError or VersionMismatchError for a damaged, foreign or version 1
+    file, and ValueError when the grid or index arrays break a Dataset check."""
     header, arrays = read_container(data, DATASET_MAGIC, DATASET_FORMAT_VERSION)
+    missing = {"grid", "centre", "column"} - set(arrays)
+    if missing:
+        raise ContainerFormatError(f"dataset file lacks arrays {sorted(missing)}")
     cfg = SnapshotConfig(**header["config"])
     net = header["network"]
     points = tuple(PointId(pid, order) for pid, order, _ in net["points"])
     limits = tuple(limit for _, _, limit in net["points"])
     spec = NetworkSpec(points=points, speed_limits=limits, n_in=net["n_in"], m_out=net["m_out"])
-    by_order = {p.order_index: p for p in spec.points}
-
-    snapshots: list[PointSnapshot] = []
-    for i in range(header["count"]):
-        snapshots.append(
-            PointSnapshot(
-                matrix=arrays["matrix"][i],
-                day_value=float(arrays["day"][i]),
-                time_value=float(arrays["time"][i]),
-                target=float(arrays["target"][i]),
-                point=by_order[int(arrays["point_order"][i])],
-                timestamp=_from_epoch(arrays["timestamp"][i]),
-            )
-        )
-    series = None
-    if header["has_series"]:
-        start = datetime.fromisoformat(header["series_start"])
-        series = tuple(
-            CleanSeries(point=p, values=arrays["series_values"][k], start=start, step_minutes=cfg.step_minutes)
-            for k, p in enumerate(spec.points)
-        )
-    return Dataset(snapshots=snapshots, config=cfg, spec=spec, series=series)
+    start = datetime.fromisoformat(header["start"])
+    return Dataset(Windows(arrays["grid"], start, arrays["centre"], arrays["column"]), cfg, spec)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

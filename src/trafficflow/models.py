@@ -146,13 +146,6 @@ class CnnPredictor:
                 got = params[name].shape if name in params else "missing"
                 raise ManifestMismatchError(f"{name}: expected shape {shape}, got {got}")
         self.params = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
-        # structural check of the layer chain: 9x5 -> 7x3x64 -> 5x1x64 -> 320
-        c1 = nn.ConvLayerSpec(_FILTER, _FILTERS, 1)
-        c2 = nn.ConvLayerSpec(_FILTER, _FILTERS, _FILTERS)
-        h1, w1, f1 = c1.output_shape(SNAP_ROWS, SNAP_COLS)
-        h2, w2, f2 = c2.output_shape(h1, w1)
-        flat = h2 * w2 * f2 + (2 if context_mode == "concat" else 0)
-        assert self.params["fc1_w"].shape[0] == flat
 
     @classmethod
     def initialize(cls, seed: int, context_mode: str = "none") -> "CnnPredictor":
@@ -234,13 +227,11 @@ class CnnPredictor:
 
     def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
         """Vectorized predictions for every snapshot, in dataset order."""
-        arrays = dataset.arrays()
+        day, time_v = dataset.context()
         out = np.empty(dataset.z)
         for lo in range(0, dataset.z, chunk):
             hi = min(lo + chunk, dataset.z)
-            out[lo:hi], _ = self.forward_batch(
-                arrays["matrix"][lo:hi], arrays["day"][lo:hi], arrays["time"][lo:hi]
-            )
+            out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)), day[lo:hi], time_v[lo:hi])
         return out
 
     def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:
@@ -328,11 +319,10 @@ class LstmPredictor:
         return self.predict(snap.matrix, snap.day_value, snap.time_value)
 
     def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
-        arrays = dataset.arrays()
         out = np.empty(dataset.z)
         for lo in range(0, dataset.z, chunk):
             hi = min(lo + chunk, dataset.z)
-            out[lo:hi], _ = self.forward_batch(arrays["matrix"][lo:hi])
+            out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)))
         return out
 
     def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:

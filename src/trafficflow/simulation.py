@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import NetworkSpec, PointId, SnapshotConfig, eligible_points, neighbor_rows
-from .ingestion import CleanSeries, MisalignedSeriesError, context_scalars
+from .ingestion import CleanSeries, aligned_grid, context_scalars
 
 __all__ = [
     "ConditionMessage",
@@ -75,9 +75,6 @@ class SimLog:
             for r in self.records
             if r.prediction is not None
         }
-
-    def skips(self) -> list[SimRecord]:
-        return [r for r in self.records if r.prediction is None]
 
 
 class Node:
@@ -145,15 +142,7 @@ def run(
     ``drop(from_id, to_id, tick)`` injects message loss.  The replay is
     deterministic; message accounting counts per-subscriber deliveries.
     """
-    by_order = {s.point.order_index: s for s in series}
-    if {p.order_index for p in spec.points} != set(by_order):
-        raise MisalignedSeriesError("series must cover every network point")
-    ordered = [by_order[p.order_index] for p in spec.points]
-    first = ordered[0]
-    for s in ordered:
-        if s.start != first.start or len(s) != len(first) or s.step_minutes != first.step_minutes:
-            raise MisalignedSeriesError(f"{s.point.id}: series grid differs")
-    values = np.stack([s.values for s in ordered])
+    values, start = aligned_grid(series, spec, cfg.step_minutes)
     total_ticks = values.shape[1] if ticks is None else min(ticks, values.shape[1])
 
     nodes = [
@@ -172,7 +161,7 @@ def run(
     dropped = 0
     records: list[SimRecord] = []
     for tick in range(total_ticks):
-        timestamp = first.start + step * tick
+        timestamp = start + step * tick
         for node in nodes:
             node.observe(tick, float(values[position[node.point.id], tick]))
         for sender in spec.points:

@@ -8,7 +8,6 @@ named streams; a fixed seed reproduces losses and parameters bit-exactly.
 
 from __future__ import annotations
 
-import tempfile
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,15 +156,21 @@ def _resolve_units(available: list, requested: int | tuple, offset: int, side: s
     return list(requested)
 
 
+def _units(dataset: Dataset, axis: str) -> tuple[np.ndarray, dict]:
+    """Each snapshot's split key, and the distinct units in sorted order
+    mapped to their keys.  Units are centre-point order indices on the point
+    axis and ISO calendar dates on the time axis."""
+    keys = dataset.point_order() if axis == "point" else dataset.times().astype("datetime64[D]")
+    distinct = np.unique(keys)
+    labels = [int(k) for k in distinct] if axis == "point" else [str(k) for k in distinct]
+    return keys, dict(zip(labels, distinct))
+
+
 def split(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     """Partition snapshots by centre point or by calendar day, disjointly."""
     spec = cfg.split
-    if spec.axis == "point":
-        units = [s.point.order_index for s in dataset.snapshots]
-        available = sorted(set(units))
-    else:
-        units = [s.timestamp.date().isoformat() for s in dataset.snapshots]
-        available = sorted(set(units))
+    keys, units = _units(dataset, spec.axis)
+    available = list(units)
 
     train_units = _resolve_units(available, spec.train, 0, "train")
     if isinstance(spec.test, int):
@@ -180,11 +185,9 @@ def split(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     if not train_units or not test_units:
         raise EmptySplitError("both split sides must be nonempty")
 
-    train_set = set(train_units)
-    test_set = set(test_units)
-    train_idx = [i for i, u in enumerate(units) if u in train_set]
-    test_idx = [i for i, u in enumerate(units) if u in test_set]
-    if not train_idx or not test_idx:
+    train_idx = np.flatnonzero(np.isin(keys, [units[u] for u in train_units]))
+    test_idx = np.flatnonzero(np.isin(keys, [units[u] for u in test_units]))
+    if not train_idx.size or not test_idx.size:
         raise EmptySplitError("a split side matched no snapshots")
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
@@ -196,45 +199,34 @@ def _init_model(cfg: TrainConfig):
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, TrainReport]:
-    """Split, run the epoch loop, checkpoint each epoch, report.
+    """Split, run the epoch loop, checkpoint each epoch into
+    ``cfg.checkpoint_dir`` (if set), report.
 
     Deterministic for a fixed seed; zero-loss batches skip their update per
     the loss contract; non-finite gradients abort with epoch/batch context.
     """
     started = _time.perf_counter()
     train_ds, test_ds = split(dataset, cfg)
-    if cfg.split.axis == "point":
-        train_units = sorted({s.point.order_index for s in train_ds.snapshots})
-        test_units = sorted({s.point.order_index for s in test_ds.snapshots})
-    else:
-        train_units = sorted({s.timestamp.date().isoformat() for s in train_ds.snapshots})
-        test_units = sorted({s.timestamp.date().isoformat() for s in test_ds.snapshots})
+    train_units = list(_units(train_ds, cfg.split.axis)[1])
+    test_units = list(_units(test_ds, cfg.split.axis)[1])
 
     model = _init_model(cfg)
-    arrays = train_ds.arrays()
-    matrices, day, time_v, targets = (
-        arrays["matrix"],
-        arrays["day"],
-        arrays["time"],
-        arrays["target"],
-    )
+    day, time_v = train_ds.context()
+    targets = train_ds.targets()
     z = train_ds.z
-
-    checkpoint_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir else Path(tempfile.mkdtemp(prefix="trafficflow-ckpt-"))
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     shuffle_rng = stream(cfg.seed, "shuffle")
     epoch_losses: list[float] = []
     skipped = 0
     checkpoint_path = ""
-    config_echo = cfg.echo((list(train_units), list(test_units)))
+    config_echo = cfg.echo((train_units, test_units))
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(z)
         batch_losses: list[float] = []
         for lo in range(0, z, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            preds, cache = model.forward_batch(matrices[idx], day[idx], time_v[idx])
+            preds, cache = model.forward_batch(train_ds.matrices(idx), day[idx], time_v[idx])
             batch = nn.LossBatch(preds, targets[idx])
             batch_losses.append(nn.loss_forward(batch, cfg.loss))
             try:
@@ -251,11 +243,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
                         f"{err.name} at epoch {epoch}, batch {lo // cfg.batch_size}"
                     ) from err
         epoch_losses.append(float(np.mean(batch_losses)))
-        checkpoint_path = str(checkpoint_dir / f"epoch_{epoch:03d}.tfmodel")
-        models.save_file(model.to_params(seed=cfg.seed, config=config_echo), checkpoint_path)
+        if cfg.checkpoint_dir:
+            checkpoint_path = str(Path(cfg.checkpoint_dir) / f"epoch_{epoch:03d}.tfmodel")
+            models.save_file(model.to_params(seed=cfg.seed, config=config_echo), checkpoint_path)
 
     test_preds = model.predict_dataset(test_ds)
-    final_rmse = float(np.sqrt(np.mean((test_preds - test_ds.arrays()["target"]) ** 2)))
+    final_rmse = float(np.sqrt(np.mean((test_preds - test_ds.targets()) ** 2)))
 
     params = model.to_params(seed=cfg.seed, config=config_echo)
     report = TrainReport(
@@ -264,8 +257,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
         wall_time_s=_time.perf_counter() - started,
         config=config_echo,
         checkpoint_path=checkpoint_path,
-        train_units=list(train_units),
-        test_units=list(test_units),
+        train_units=train_units,
+        test_units=test_units,
         train_size=train_ds.z,
         test_size=test_ds.z,
         skipped_zero_loss_batches=skipped,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from trafficflow import cli, ingestion, models
+from trafficflow import cli, ingestion, models, training
 
 TINY_PROFILE = {
     "snapshot": {"delta": 4, "n_in": 4, "m_out": 4, "step_minutes": 30, "horizon_steps": 1},
@@ -31,7 +31,7 @@ def test_version_prints_format_versions(capsys):
     out = capsys.readouterr().out
     assert "trafficflow" in out
     assert "model-format" in out
-    assert "dataset-format" in out
+    assert "dataset-format 2" in out
 
 
 def test_unknown_flag_exits_2():
@@ -162,17 +162,18 @@ def test_train_config_file_precedence(tmp_path, profile_path):
     assert report["config"]["lr"] == 0.1
 
 
-def test_simulate_requires_embedded_series(tmp_path, profile_path, capsys):
+def test_simulate_replays_a_split_dataset(tmp_path, profile_path):
+    # every dataset keeps the whole condition grid, so a split replays the
+    # same series as the dataset it came from
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
-    ds = ingestion.load_dataset(data)
-    stripped = ingestion.Dataset(snapshots=ds.snapshots, config=ds.config, spec=ds.spec, series=None)
-    bare = tmp_path / "bare.tfds"
-    ingestion.save_dataset(stripped, bare)
+    _, test_ds = training.split(ingestion.load_dataset(data), training.TrainConfig(split=training.by_point(2, 2)))
+    part = tmp_path / "part.tfds"
+    ingestion.save_dataset(test_ds, part)
     model = tmp_path / "m.tfmodel"
     cli.main(["train", "--dataset", str(data), "--model", "cnn", "--epochs", "1",
               "--train-units", "2", "--test-units", "2", "--out", str(model)])
-    code = cli.main(["simulate", "--dataset", str(bare), "--model", str(model),
-                     "--out", str(tmp_path / "sim.log")])
-    assert code == 1
-    assert "no source series" in capsys.readouterr().err
+    for name, dataset in (("full.log", data), ("part.log", part)):
+        assert cli.main(["simulate", "--dataset", str(dataset), "--model", str(model), "--ticks", "30",
+                         "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "part.log").read_bytes() == (tmp_path / "full.log").read_bytes()

@@ -139,11 +139,3 @@ def test_point_snapshot_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         _snapshot(**overrides)
 
-
-def test_network_snapshot_requires_shared_timestamp():
-    a = _snapshot()
-    b = _snapshot(point=core.PointId("d005", 5))
-    assert core.NetworkSnapshot((a, b)).timestamp == a.timestamp
-    c = _snapshot(timestamp=datetime(2024, 1, 3, 14, 5))
-    with pytest.raises(ValueError, match="share one timestamp"):
-        core.NetworkSnapshot((a, c))

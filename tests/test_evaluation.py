@@ -65,11 +65,7 @@ def test_record_count_is_points_times_days():
 
 def test_rmse_invariant_under_snapshot_reordering():
     ds, _ = _dataset()
-    shuffled = ingestion.Dataset(
-        snapshots=random.Random(3).sample(ds.snapshots, len(ds.snapshots)),
-        config=ds.config,
-        spec=ds.spec,
-    )
+    shuffled = ds.subset(np.random.default_rng(3).permutation(ds.z))
     model = StubPredictor(lambda snap: float(snap.matrix[2, -1]))
     a = evaluation.daily_rmse(model, ds, "m")
     b = evaluation.daily_rmse(model, shuffled, "m")

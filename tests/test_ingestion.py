@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trafficflow import core, ingestion
-from trafficflow.serialization import ChecksumError, ContainerFormatError, VersionMismatchError
+from trafficflow.serialization import (
+    ChecksumError,
+    ContainerFormatError,
+    VersionMismatchError,
+    read_container,
+    write_container,
+)
 
 from conftest import START, make_clean, make_network_series
 
@@ -318,15 +325,6 @@ def test_window_values_stay_on_grids(seed):
         assert abs(snap.time_value * 47 - round(snap.time_value * 47)) < 1e-9
 
 
-def test_network_snapshots_group_by_timestamp(small_spec, cfg30):
-    values = np.random.default_rng(7).uniform(0, 1, size=(12, 8))
-    ds = ingestion.window(make_network_series(values, small_spec), small_spec, cfg30)
-    groups = ingestion.network_snapshots(ds)
-    assert sum(len(g.snapshots) for g in groups) == ds.z
-    eligible = len(core.eligible_points(small_spec, cfg30))
-    assert all(len(g.snapshots) == eligible for g in groups)
-
-
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -466,3 +464,209 @@ def test_dataset_without_targets_never_emitted():
     values = np.random.default_rng(8).uniform(0, 1, size=(9, 5))
     ds = ingestion.window(make_network_series(values, spec), spec, cfg)
     assert ds.z == 0
+
+
+def test_dataset_version_1_file_rejected():
+    # version 1 stored one stacked copy of every snapshot field
+    arrays = _build_dataset().arrays()
+    blob = write_container(ingestion.DATASET_MAGIC, 1, {"kind": "dataset"}, list(arrays.items()))
+    with pytest.raises(VersionMismatchError):
+        ingestion.dataset_from_bytes(blob)
+
+
+def _version_2_blob(**arrays):
+    """A correctly checksummed version 2 file with some arrays replaced."""
+    blob = ingestion.dataset_to_bytes(_build_dataset())
+    header, stored = read_container(blob, ingestion.DATASET_MAGIC, 2)
+    stored.update(arrays)
+    return write_container(ingestion.DATASET_MAGIC, 2, header, list(stored.items()))
+
+
+def _stored_arrays():
+    w = _build_dataset().windows
+    return w.grid.copy(), w.centre.copy(), w.column.copy()
+
+
+def _condition_above_one():
+    grid, _, _ = _stored_arrays()
+    grid[3, 7] = 1.5
+    return {"grid": grid}, r"\[0, 1\]"
+
+
+def _condition_nan():
+    grid, _, _ = _stored_arrays()
+    grid[0, 0] = np.nan
+    return {"grid": grid}, r"\[0, 1\]"
+
+
+def _grid_row_missing():
+    grid, _, _ = _stored_arrays()
+    return {"grid": grid[:-1]}, "rows"
+
+
+def _centre_past_last_eligible():
+    _, centre, _ = _stored_arrays()
+    centre[-1] = 8  # 12 points, m_out = 4: centres stop at 7
+    return {"centre": centre}, "centre indices"
+
+
+def _negative_column():
+    _, _, column = _stored_arrays()
+    column[0] = -1
+    return {"column": column}, "column indices"
+
+
+def _column_without_target():
+    _, _, column = _stored_arrays()
+    column[0] = 95  # 96 slots, horizon 1: the last column has no target
+    return {"column": column}, "column indices"
+
+
+def _float_index():
+    _, _, column = _stored_arrays()
+    return {"column": column.astype(np.float64)}, "integer"
+
+
+def _unequal_index_lengths():
+    _, centre, _ = _stored_arrays()
+    return {"centre": centre[:-1]}, "lengths differ"
+
+
+@pytest.mark.parametrize("fault", [
+    _condition_above_one, _condition_nan, _grid_row_missing, _centre_past_last_eligible,
+    _negative_column, _column_without_target, _float_index, _unequal_index_lengths,
+])
+def test_dataset_file_content_checked_at_load(fault):
+    arrays, message = fault()
+    with pytest.raises(ValueError, match=message):
+        ingestion.dataset_from_bytes(_version_2_blob(**arrays))
+
+
+def test_dataset_file_is_grid_plus_two_index_arrays():
+    ds = _build_dataset()
+    header, arrays = read_container(ingestion.dataset_to_bytes(ds), ingestion.DATASET_MAGIC, 2)
+    assert list(arrays) == ["grid", "centre", "column"]
+    assert arrays["grid"].shape == (12, 96) and arrays["centre"].shape == arrays["column"].shape == (ds.z,)
+    assert header["start"] == "2024-01-01T00:00:00"
+
+
+def test_benchmark_contract_calls():
+    # the Dataset calls that perfbench/workloads.py makes
+    ds = _build_dataset()
+    want = ds.arrays()
+    assert list(want) == ["matrix", "day", "time", "target", "point_order", "timestamp"]
+    assert ds.z == len(ds.snapshots) == len(want["target"])
+    block = ingestion.Dataset(ds.snapshots[5:40], ds.config, ds.spec)
+    assert block.z == 35
+    got = block.arrays()
+    for key in want:
+        assert np.array_equal(want[key][5:40], got[key]), key
+
+    picked = [30, 2, 2, ds.z - 1]
+    sub = ds.subset(picked)
+    assert sub.z == 4
+    for j, i in enumerate(picked):
+        a, b = ds.snapshots[i], sub.snapshots[j]
+        assert np.array_equal(a.matrix, b.matrix)
+        assert (a.day_value, a.time_value, a.target, a.point, a.timestamp) == (
+            b.day_value, b.time_value, b.target, b.point, b.timestamp,
+        )
+    assert np.array_equal(sub.arrays()["matrix"], want["matrix"][picked])
+    assert len(sub.series) == len(ds.spec.points)
+    for k, s in enumerate(sub.series):
+        assert np.array_equal(s.values, ds.series[k].values)
+
+
+# ---------------------------------------------------------------------------
+# the grid-backed dataset against the per-object windowing loop
+
+
+def _reference_window(series, spec, cfg):
+    """One validated PointSnapshot per window, built in a loop."""
+    values = np.stack([s.values for s in series])
+    step = timedelta(minutes=cfg.step_minutes)
+    snapshots = []
+    for k, point in enumerate(spec.points):
+        if k - cfg.n_in < 0 or k + cfg.m_out > len(spec.points) - 1:
+            continue
+        block = values[k - cfg.n_in : k + cfg.m_out + 1]
+        for t in range(cfg.delta, values.shape[1] - cfg.horizon_steps):
+            ts = series[0].start + step * t
+            day_value, time_value = ingestion.context_scalars(ts)
+            snapshots.append(
+                core.PointSnapshot(
+                    matrix=block[:, t - cfg.delta : t + 1].copy(),
+                    day_value=day_value,
+                    time_value=time_value,
+                    target=float(values[k, t + cfg.horizon_steps]),
+                    point=point,
+                    timestamp=ts,
+                )
+            )
+    return snapshots
+
+
+def _reference_arrays(snapshots, cfg):
+    """The snapshot fields stacked from the objects."""
+    epoch = datetime(1970, 1, 1)
+    return {
+        "matrix": np.stack([s.matrix for s in snapshots]) if snapshots else np.zeros((0, cfg.rows, cfg.cols)),
+        "day": np.array([s.day_value for s in snapshots], dtype=np.float64),
+        "time": np.array([s.time_value for s in snapshots], dtype=np.float64),
+        "target": np.array([s.target for s in snapshots], dtype=np.float64),
+        "point_order": np.array([s.point.order_index for s in snapshots], dtype=np.int64),
+        "timestamp": np.array([int((s.timestamp - epoch).total_seconds()) for s in snapshots], dtype=np.int64),
+    }
+
+
+def _assert_matches_reference(ds, reference, cfg):
+    assert ds.z == len(reference)
+    for got, want in zip(ds.snapshots, reference):
+        assert got.matrix.tobytes() == want.matrix.tobytes() and got.matrix.shape == want.matrix.shape
+        assert (got.day_value, got.time_value, got.target, got.point, got.timestamp) == (
+            want.day_value, want.time_value, want.target, want.point, want.timestamp,
+        )
+    got, want = ds.arrays(), _reference_arrays(reference, cfg)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@st.composite
+def _worlds(draw):
+    n_in = draw(st.integers(0, 3))
+    m_out = draw(st.integers(0, 3).filter(lambda m: m != n_in))
+    cfg = core.SnapshotConfig(
+        delta=draw(st.integers(1, 3)),
+        n_in=n_in,
+        m_out=m_out,
+        step_minutes=draw(st.sampled_from([5, 7, 30, 45, 240, 1440])),
+        horizon_steps=draw(st.integers(2, 3)),
+    )
+    # the smallest draws leave no eligible point or no known target
+    n_points = draw(st.integers(n_in + m_out, n_in + m_out + 3))
+    n_slots = draw(st.integers(cfg.delta + cfg.horizon_steps, cfg.delta + cfg.horizon_steps + 10))
+    grid = draw(hnp.arrays(np.float64, (n_points, n_slots), elements=st.floats(0.0, 1.0)))
+    # off midnight, and the series crosses the Saturday -> Sunday boundary
+    before = draw(st.integers(1, (n_slots - 1) * cfg.step_minutes))
+    start = datetime(2024, 1, 7) - timedelta(minutes=before) + timedelta(seconds=draw(st.integers(1, 59)))
+    spec = core.chain_network(n_points, 60.0, n_in=n_in, m_out=m_out)
+    series = make_network_series(grid, spec, start=start, step_minutes=cfg.step_minutes)
+    rows = draw(st.lists(st.integers(0, 10_000), max_size=12))
+    return series, spec, cfg, rows
+
+
+@given(world=_worlds())
+def test_grid_dataset_equals_per_object_windowing(world):
+    series, spec, cfg = world[:3]
+    ds = ingestion.window(series, spec, cfg)
+    reference = _reference_window(series, spec, cfg)
+    _assert_matches_reference(ds, reference, cfg)
+
+    rows = [r % ds.z for r in world[3]] if ds.z else []
+    sub = ds.subset(rows)
+    _assert_matches_reference(sub, [reference[r] for r in rows], cfg)
+    for dataset, want in ((ds, reference), (sub, [reference[r] for r in rows])):
+        loaded = ingestion.dataset_from_bytes(ingestion.dataset_to_bytes(dataset))
+        _assert_matches_reference(loaded, want, cfg)

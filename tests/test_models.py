@@ -271,6 +271,14 @@ def test_manifest_mismatch_on_wrong_shapes():
         models.CnnPredictor(broken)
 
 
+def test_concat_manifest_rejects_unwidened_fc1():
+    model = models.CnnPredictor.initialize(0, "concat")
+    broken = {k: v.copy() for k, v in model.params.items()}
+    broken["fc1_w"] = np.zeros((320, 32))
+    with pytest.raises(models.ManifestMismatchError):
+        models.CnnPredictor(broken, "concat")
+
+
 def test_model_file_round_trip_via_disk(tmp_path):
     path = tmp_path / "model.tfmodel"
     original = models.LstmPredictor.initialize(4).to_params(seed=4)

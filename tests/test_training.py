@@ -1,5 +1,7 @@
 """Splitting, the training loop, determinism, provenance."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ def test_checkpoints_written_every_epoch(tmp_path):
     assert files == [f"epoch_{e:03d}.tfmodel" for e in range(4)]
     restored = models.build_predictor(models.load_file(tmp_path / files[-1]))
     assert restored.kind == "lstm"
+
+
+def test_no_checkpoint_dir_writes_no_checkpoints(tmp_path, monkeypatch):
+    # without a checkpoint directory nothing is written, not even to a
+    # temporary directory
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = training.TrainConfig(model="cnn", epochs=2, lr=0.1, seed=0, split=training.by_point(2, 2))
+    _, report = training.train(_synthetic_dataset(), cfg)
+    assert report.checkpoint_path == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_gradient_reports_epoch_and_batch(tmp_path, monkeypatch):
