@@ -43,12 +43,8 @@ def main() -> int:
 
     split_cfg = training.TrainConfig(split=training.by_point(20, 30))
     _, test_ds = training.split(dataset, split_cfg)
-    baseline = evaluation.PersistencePredictor(dataset.config)
-    base_records = evaluation.daily_rmse(baseline, test_ds, "persistence")
-    base_by_cell = {(r.point.order_index, r.date): r.rmse for r in base_records}
-    base_mean = float(np.mean([r.rmse for r in base_records]))
-
-    predictors = {"persistence": baseline}
+    predictors = {"persistence": evaluation.PersistencePredictor(dataset.config)}
+    trained = {}
     for kind in ("cnn", "lstm"):
         cfg = training.TrainConfig(
             model=kind,
@@ -60,22 +56,28 @@ def main() -> int:
         )
         started = time.perf_counter()
         params, report = training.train(dataset, cfg)
-        took = time.perf_counter() - started
+        trained[kind] = (time.perf_counter() - started, report)
         models.save_file(params, out_dir / f"{kind}.tfmodel")
-        predictor = models.build_predictor(params)
-        predictors[kind] = predictor
+        predictors[kind] = models.build_predictor(params)
 
-        records = evaluation.daily_rmse(predictor, test_ds, kind)
+    # one evaluation gives every model's daily RMSE cells, persistence included
+    report = evaluation.evaluate_models(predictors, test_ds)
+    by_model: dict[str, list] = {}
+    for rec in report.records:
+        by_model.setdefault(rec.model, []).append(rec)
+    base_by_cell = {(r.point.order_index, r.date): r.rmse for r in by_model["persistence"]}
+    base_mean = float(np.mean(list(base_by_cell.values())))
+    for kind, (took, train_report) in trained.items():
+        records = by_model[kind]
         mean_rmse = float(np.mean([r.rmse for r in records]))
         wins = sum(1 for r in records if r.rmse < base_by_cell[(r.point.order_index, r.date)])
         print(
             f"[{kind}] {args.epochs} epochs in {took:.0f}s | final train loss "
-            f"{report.epoch_losses[-1]:.5f} | test RMSE {report.final_test_rmse:.5f} | "
+            f"{train_report.epoch_losses[-1]:.5f} | test RMSE {train_report.final_test_rmse:.5f} | "
             f"mean daily RMSE {mean_rmse:.5f} vs persistence {base_mean:.5f} "
             f"(ratio {mean_rmse / base_mean:.3f}) | cell wins {wins}/{len(records)}"
         )
 
-    report = evaluation.evaluate_models(predictors, test_ds)
     for path in evaluation.write_report(report, out_dir):
         print(f"wrote {path}")
     return 0

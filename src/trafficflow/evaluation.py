@@ -93,7 +93,10 @@ class PersistencePredictor:
 def daily_rmse(predictor, dataset: Dataset, model_name: str | None = None) -> list[DailyRmseRecord]:
     """One RMSE record per (point, calendar day) present in the dataset."""
     name = model_name or getattr(predictor, "kind", "model")
-    preds = predictor.predict_dataset(dataset)
+    return _daily_records(predictor.predict_dataset(dataset), dataset, name)
+
+
+def _daily_records(preds: np.ndarray, dataset: Dataset, name: str) -> list[DailyRmseRecord]:
     sq_err = (preds - dataset.targets()) ** 2
     orders, days = dataset.point_order(), dataset.times().astype("datetime64[D]")
 
@@ -142,13 +145,12 @@ def boxplot_summary(records: Sequence[DailyRmseRecord]) -> list[BoxplotSummary]:
     return out
 
 
-def _point_rows(predictor, dataset: Dataset, point: PointId, keep) -> list[tuple[datetime, float, float]]:
+def _point_rows(preds: np.ndarray, dataset: Dataset, point: PointId, keep) -> list[tuple[datetime, float, float]]:
     """(timestamp, predicted, actual) of the point's snapshots whose
     timestamps pass ``keep`` (datetime64 array to mask), chronological."""
     rows = np.flatnonzero(dataset.point_order() == point.order_index)
     if not rows.size:
         raise UnknownPointError(f"point {point.id!r} has no snapshots in this dataset")
-    preds = predictor.predict_dataset(dataset)
     times = dataset.times()[rows]
     chosen = np.flatnonzero(keep(times))
     chosen = chosen[np.argsort(times[chosen], kind="stable")]
@@ -160,8 +162,12 @@ def slot_series(
     predictor, dataset: Dataset, point: PointId, slot: time_type
 ) -> list[tuple[date_type, float, float]]:
     """(date, predicted, actual) at one fixed time of day, chronological."""
+    return _slot_rows(predictor.predict_dataset(dataset), dataset, point, slot)
+
+
+def _slot_rows(preds: np.ndarray, dataset: Dataset, point: PointId, slot: time_type):
     offset = np.timedelta64(datetime.combine(date_type.min, slot) - datetime.min)
-    rows = _point_rows(predictor, dataset, point, lambda t: t - t.astype("datetime64[D]") == offset)
+    rows = _point_rows(preds, dataset, point, lambda t: t - t.astype("datetime64[D]") == offset)
     return [(ts.date(), pred, actual) for ts, pred, actual in rows]
 
 
@@ -169,7 +175,11 @@ def day_curve(
     predictor, dataset: Dataset, point: PointId, day: date_type
 ) -> list[tuple[time_type, float, float]]:
     """(time, predicted, actual) across one calendar day for one point."""
-    rows = _point_rows(predictor, dataset, point, lambda t: t.astype("datetime64[D]") == np.datetime64(day))
+    return _curve_rows(predictor.predict_dataset(dataset), dataset, point, day)
+
+
+def _curve_rows(preds: np.ndarray, dataset: Dataset, point: PointId, day: date_type):
+    rows = _point_rows(preds, dataset, point, lambda t: t.astype("datetime64[D]") == np.datetime64(day))
     return [(ts.time(), pred, actual) for ts, pred, actual in rows]
 
 
@@ -206,22 +216,25 @@ def evaluate_models(
     point: PointId | None = None,
     curve_day: date_type | None = None,
 ) -> EvalReport:
-    """Full evaluation for one or more predictors over one test dataset."""
+    """Full evaluation for one or more predictors over one test dataset.
+
+    Each predictor predicts the dataset once; the records and every series
+    are read from that one column.
+    """
     point = point or _default_point(dataset)
     curve_day = curve_day or dataset.times().min().item().date()
 
     records: list[DailyRmseRecord] = []
     series: dict[str, list[tuple]] = {}
     for name, predictor in predictors.items():
-        records.extend(daily_rmse(predictor, dataset, name))
+        preds = predictor.predict_dataset(dataset)
+        records.extend(_daily_records(preds, dataset, name))
         series[f"day_curve/{name}"] = [
-            (t.isoformat(), pred, actual)
-            for t, pred, actual in day_curve(predictor, dataset, point, curve_day)
+            (t.isoformat(), pred, actual) for t, pred, actual in _curve_rows(preds, dataset, point, curve_day)
         ]
         for slot in slots:
             series[f"slot_{slot.strftime('%H:%M')}/{name}"] = [
-                (d.isoformat(), pred, actual)
-                for d, pred, actual in slot_series(predictor, dataset, point, slot)
+                (d.isoformat(), pred, actual) for d, pred, actual in _slot_rows(preds, dataset, point, slot)
             ]
     return EvalReport(
         records=records,

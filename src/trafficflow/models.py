@@ -83,12 +83,8 @@ class ModelParams:
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, tuple(a.shape)) for name, a in self.arrays.items()]
 
-    @property
-    def param_count(self) -> int:
-        return int(sum(a.size for a in self.arrays.values()))
 
-
-def _cnn_manifest(context_mode: str) -> list[tuple[str, tuple[int, ...]]]:
+def _cnn_manifest(context_mode: str = "none") -> list[tuple[str, tuple[int, ...]]]:
     flat = 5 * 1 * _FILTERS + (2 if context_mode == "concat" else 0)
     return [
         ("conv1_w", (_FILTER, _FILTER, 1, _FILTERS)),
@@ -116,36 +112,86 @@ def _lstm_manifest() -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _check_manifest(params: ModelParams, kind: str, expected: list[tuple[str, tuple[int, ...]]]) -> None:
-    if params.kind != kind:
-        raise ManifestMismatchError(f"parameters are for kind {params.kind!r}, not {kind!r}")
-    if params.manifest != expected:
-        raise ManifestMismatchError(
-            f"manifest {params.manifest} does not match the {kind} architecture"
-        )
-
-
 def _context_arrays(day, time_v, batch: int) -> tuple[np.ndarray, np.ndarray]:
     day = np.zeros(batch) if day is None else np.asarray(day, dtype=np.float64).reshape(batch)
     time_v = np.zeros(batch) if time_v is None else np.asarray(time_v, dtype=np.float64).reshape(batch)
     return day, time_v
 
 
-class CnnPredictor:
-    """Convolutional snapshot predictor (architecture is bound to 9x5 inputs)."""
+def _stack(matrices: np.ndarray) -> np.ndarray:
+    x = np.asarray(matrices, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (SNAP_ROWS, SNAP_COLS):
+        raise ShapeMismatchError(f"expected (B, {SNAP_ROWS}, {SNAP_COLS}), got {x.shape}")
+    return x
 
-    kind = "cnn"
 
-    def __init__(self, params: dict[str, np.ndarray], context_mode: str = "none"):
-        if context_mode not in ("none", "concat"):
-            raise ValueError(f"unknown context_mode {context_mode!r}")
-        self.context_mode = context_mode
-        expected = dict(_cnn_manifest(context_mode))
+def _one(matrix: np.ndarray) -> np.ndarray:
+    """A single snapshot as a batch of one."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape != (SNAP_ROWS, SNAP_COLS):
+        raise ShapeMismatchError(f"expected ({SNAP_ROWS}, {SNAP_COLS}) snapshot, got {matrix.shape}")
+    return matrix[None]
+
+
+class _Predictor:
+    """What both predictors share: the manifest check, the parameter-file
+    round trip and per-snapshot prediction.
+
+    ``settings`` are the subclass's constructor keywords (``setting_names``);
+    they select the manifest and are echoed into the file config.
+    """
+
+    kind: str
+    setting_names: tuple[str, ...] = ()
+
+    @staticmethod
+    def _manifest(**settings) -> list[tuple[str, tuple[int, ...]]]:
+        raise NotImplementedError
+
+    def __init__(self, params: dict[str, np.ndarray], **settings):
+        expected = dict(self._manifest(**settings))
         for name, shape in expected.items():
             if name not in params or params[name].shape != shape:
                 got = params[name].shape if name in params else "missing"
                 raise ManifestMismatchError(f"{name}: expected shape {shape}, got {got}")
         self.params = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
+        self.settings = settings
+
+    @property
+    def param_count(self) -> int:
+        return int(sum(a.size for a in self.params.values()))
+
+    def predict_snapshot(self, snap: PointSnapshot) -> float:
+        return self.predict(snap.matrix, snap.day_value, snap.time_value)
+
+    def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:
+        arrays = {name: a.copy() for name, a in self.params.items()}
+        return ModelParams(kind=self.kind, arrays=arrays, seed=seed, config={**self.settings, **(config or {})})
+
+    @classmethod
+    def from_params(cls, params: ModelParams):
+        if params.kind != cls.kind:
+            raise ManifestMismatchError(f"parameters are for kind {params.kind!r}, not {cls.kind!r}")
+        settings = {name: params.config[name] for name in cls.setting_names if name in params.config}
+        if params.manifest != cls._manifest(**settings):
+            raise ManifestMismatchError(
+                f"manifest {params.manifest} does not match the {cls.kind} architecture"
+            )
+        return cls(params.arrays, **settings)
+
+
+class CnnPredictor(_Predictor):
+    """Convolutional snapshot predictor (architecture is bound to 9x5 inputs)."""
+
+    kind = "cnn"
+    setting_names = ("context_mode",)
+    _manifest = staticmethod(_cnn_manifest)
+
+    def __init__(self, params: dict[str, np.ndarray], context_mode: str = "none"):
+        if context_mode not in ("none", "concat"):
+            raise ValueError(f"unknown context_mode {context_mode!r}")
+        self.context_mode = context_mode
+        super().__init__(params, context_mode=context_mode)
 
     @classmethod
     def initialize(cls, seed: int, context_mode: str = "none") -> "CnnPredictor":
@@ -163,25 +209,22 @@ class CnnPredictor:
                 params[name] = nn.glorot_uniform(rng, shape, shape[0], shape[1])
         return cls(params, context_mode)
 
-    @property
-    def param_count(self) -> int:
-        return int(sum(a.size for a in self.params.values()))
-
     def shape_chain(self) -> list[tuple[int, ...]]:
         """Data shapes through the network, input to output."""
-        chain = [(SNAP_ROWS, SNAP_COLS)]
-        c1 = nn.ConvLayerSpec(_FILTER, _FILTERS, 1)
-        c2 = nn.ConvLayerSpec(_FILTER, _FILTERS, _FILTERS)
-        s1 = c1.output_shape(SNAP_ROWS, SNAP_COLS)
-        s2 = c2.output_shape(s1[0], s1[1])
-        chain += [s1, s2, (self.params["fc1_w"].shape[0],), (_HIDDEN_DENSE,), (1,)]
-        return chain
+        h1, w1 = SNAP_ROWS - _FILTER + 1, SNAP_COLS - _FILTER + 1
+        h2, w2 = h1 - _FILTER + 1, w1 - _FILTER + 1
+        return [
+            (SNAP_ROWS, SNAP_COLS),
+            (h1, w1, _FILTERS),
+            (h2, w2, _FILTERS),
+            (self.params["fc1_w"].shape[0],),
+            (_HIDDEN_DENSE,),
+            (1,),
+        ]
 
     def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
         """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
-        x = np.asarray(matrices, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1:] != (SNAP_ROWS, SNAP_COLS):
-            raise ShapeMismatchError(f"expected (B, {SNAP_ROWS}, {SNAP_COLS}), got {x.shape}")
+        x = _stack(matrices)
         batch = x.shape[0]
         day, time_v = _context_arrays(day, time_v, batch)
         a1, c1 = nn.conv2d_forward(x[..., None], self.params["conv1_w"], self.params["conv1_b"], "relu")
@@ -216,14 +259,8 @@ class CnnPredictor:
 
     def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
         """Single-snapshot prediction (the path decentralized nodes use)."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (SNAP_ROWS, SNAP_COLS):
-            raise ShapeMismatchError(f"expected ({SNAP_ROWS}, {SNAP_COLS}) snapshot, got {matrix.shape}")
-        preds, _ = self.forward_batch(matrix[None], np.array([day_value]), np.array([time_value]))
+        preds, _ = self.forward_batch(_one(matrix), np.array([day_value]), np.array([time_value]))
         return float(preds[0])
-
-    def predict_snapshot(self, snap: PointSnapshot) -> float:
-        return self.predict(snap.matrix, snap.day_value, snap.time_value)
 
     def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
         """Vectorized predictions for every snapshot, in dataset order."""
@@ -234,31 +271,12 @@ class CnnPredictor:
             out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)), day[lo:hi], time_v[lo:hi])
         return out
 
-    def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:
-        config = dict(config or {})
-        config.setdefault("context_mode", self.context_mode)
-        arrays = {name: self.params[name].copy() for name, _ in _cnn_manifest(self.context_mode)}
-        return ModelParams(kind=self.kind, arrays=arrays, seed=seed, config=config)
 
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "CnnPredictor":
-        context_mode = params.config.get("context_mode", "none")
-        _check_manifest(params, "cnn", _cnn_manifest(context_mode))
-        return cls(params.arrays, context_mode)
-
-
-class LstmPredictor:
+class LstmPredictor(_Predictor):
     """Stacked-LSTM snapshot predictor; consumes columns oldest first."""
 
     kind = "lstm"
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        expected = dict(_lstm_manifest())
-        for name, shape in expected.items():
-            if name not in params or params[name].shape != shape:
-                got = params[name].shape if name in params else "missing"
-                raise ManifestMismatchError(f"{name}: expected shape {shape}, got {got}")
-        self.params = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
+    _manifest = staticmethod(_lstm_manifest)
 
     @classmethod
     def initialize(cls, seed: int) -> "LstmPredictor":
@@ -275,16 +293,9 @@ class LstmPredictor:
                 params[name] = nn.glorot_uniform(rng, shape, shape[0], shape[1])
         return cls(params)
 
-    @property
-    def param_count(self) -> int:
-        return int(sum(a.size for a in self.params.values()))
-
     def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
         """Predictions for a (B, 9, 5) stack; context scalars are unused."""
-        x = np.asarray(matrices, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1:] != (SNAP_ROWS, SNAP_COLS):
-            raise ShapeMismatchError(f"expected (B, {SNAP_ROWS}, {SNAP_COLS}), got {x.shape}")
-        xs = x.transpose(0, 2, 1)  # (B, T=5, 9), oldest column first
+        xs = _stack(matrices).transpose(0, 2, 1)  # (B, T=5, 9), oldest column first
         hs1, c1 = nn.lstm_forward(xs, self.params["l1_wx"], self.params["l1_wh"], self.params["l1_b"])
         hs2, c2 = nn.lstm_forward(hs1, self.params["l2_wx"], self.params["l2_wh"], self.params["l2_b"])
         out, c3 = nn.dense_forward(hs2[:, -1, :], self.params["head_w"], self.params["head_b"], "sigmoid")
@@ -309,14 +320,8 @@ class LstmPredictor:
         }
 
     def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (SNAP_ROWS, SNAP_COLS):
-            raise ShapeMismatchError(f"expected ({SNAP_ROWS}, {SNAP_COLS}) snapshot, got {matrix.shape}")
-        preds, _ = self.forward_batch(matrix[None])
+        preds, _ = self.forward_batch(_one(matrix))
         return float(preds[0])
-
-    def predict_snapshot(self, snap: PointSnapshot) -> float:
-        return self.predict(snap.matrix, snap.day_value, snap.time_value)
 
     def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
         out = np.empty(dataset.z)
@@ -324,15 +329,6 @@ class LstmPredictor:
             hi = min(lo + chunk, dataset.z)
             out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)))
         return out
-
-    def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:
-        arrays = {name: self.params[name].copy() for name, _ in _lstm_manifest()}
-        return ModelParams(kind=self.kind, arrays=arrays, seed=seed, config=dict(config or {}))
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "LstmPredictor":
-        _check_manifest(params, "lstm", _lstm_manifest())
-        return cls(params.arrays)
 
 
 Predictor = CnnPredictor | LstmPredictor

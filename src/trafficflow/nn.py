@@ -1,10 +1,12 @@
 """Minimal dense-tensor neural kernels with exact manual gradients.
 
-Everything runs in float64 numpy.  Layers accept a single sample or an
-array with a leading batch dimension; the forward pass returns a cache
-object that the matching backward pass consumes.  Backward passes are
-analytic (no autodiff) and are held to central finite differences by the
-test suite.
+Everything runs in float64 numpy.  Every layer takes a batch: an array
+whose leading dimension indexes samples, one sample being a batch of one.
+Each layer's weights meet the whole batch in one 2-D matrix product (the
+LSTM's recurrent product is one per timestep).  The forward pass returns a
+cache object that the matching backward pass consumes.  Backward passes
+are analytic (no autodiff) and are held to central finite differences by
+the test suite.
 
 Supported pieces: valid 2-D convolution (stride 1, no padding), fully
 connected layers, a 4-gate LSTM cell with backprop through time, relu /
@@ -23,14 +25,11 @@ __all__ = [
     "EmptyBatchError",
     "ZeroLossError",
     "NonFiniteGradientError",
-    "ConvLayerSpec",
-    "LstmCellSpec",
     "LossBatch",
     "conv2d_forward",
     "conv2d_backward",
     "dense_forward",
     "dense_backward",
-    "lstm_step",
     "lstm_forward",
     "lstm_backward",
     "loss_forward",
@@ -62,64 +61,19 @@ class NonFiniteGradientError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# layer specs
-
-
-@dataclass(frozen=True)
-class ConvLayerSpec:
-    """Square valid convolution, stride 1: (H, W, C) -> (H-z+1, W-z+1, F)."""
-
-    filter_size: int
-    num_filters: int
-    in_channels: int
-
-    def __post_init__(self) -> None:
-        if min(self.filter_size, self.num_filters, self.in_channels) < 1:
-            raise ValueError("conv spec dimensions must be >= 1")
-
-    def output_shape(self, height: int, width: int) -> tuple[int, int, int]:
-        out_h = height - self.filter_size + 1
-        out_w = width - self.filter_size + 1
-        if out_h < 1 or out_w < 1:
-            raise ShapeMismatchError(
-                f"{height}x{width} input too small for {self.filter_size}x{self.filter_size} filter"
-            )
-        return (out_h, out_w, self.num_filters)
-
-    @property
-    def param_count(self) -> int:
-        return self.filter_size**2 * self.in_channels * self.num_filters + self.num_filters
-
-
-@dataclass(frozen=True)
-class LstmCellSpec:
-    """Four-gate LSTM cell (input, forget, candidate, output)."""
-
-    input_dim: int
-    hidden_dim: int
-
-    def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("lstm dims must be >= 1")
-
-    @property
-    def param_count(self) -> int:
-        # input weights + recurrent weights + bias, for each of the 4 gates
-        return 4 * self.hidden_dim * (self.input_dim + self.hidden_dim + 1)
-
-
-# ---------------------------------------------------------------------------
 # activations
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function.
+
+    exp(-|z|) cannot overflow; it underflows only where the result rounds
+    to 0 or 1, so underflow is not reported.
+    """
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -146,13 +100,11 @@ def _activate_backward(grad_out: np.ndarray, kind: str, z: np.ndarray, out: np.n
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _as_batch(x: np.ndarray, sample_ndim: int) -> tuple[np.ndarray, bool]:
+def _batch(x: np.ndarray, ndim: int, layout: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == sample_ndim:
-        return x[None, ...], True
-    if x.ndim == sample_ndim + 1:
-        return x, False
-    raise ShapeMismatchError(f"expected {sample_ndim}-D sample or batch, got shape {x.shape}")
+    if x.ndim != ndim:
+        raise ShapeMismatchError(f"expected a {layout} batch, got shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +113,13 @@ def _as_batch(x: np.ndarray, sample_ndim: int) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray        # (B, H', W', C*k*k) im2col patches
+    cols: np.ndarray        # (B*H'*W', C*k*k) im2col patches
     w_mat: np.ndarray       # (C*k*k, F)
     z: np.ndarray
     out: np.ndarray
     activation: str
     in_shape: tuple[int, ...]
     filter_size: int
-    squeezed: bool
 
 
 def conv2d_forward(
@@ -179,30 +130,31 @@ def conv2d_forward(
 ) -> tuple[np.ndarray, ConvCache]:
     """Valid cross-correlation, stride 1, plus per-filter bias and activation.
 
-    ``x`` is (H, W, C) or (B, H, W, C); ``weights`` is (k, k, C, F).
-    Returns the activated (B, H-k+1, W-k+1, F) map and the backward cache.
+    ``x`` is (B, H, W, C); ``weights`` is (k, k, C, F).  Returns the
+    activated (B, H-k+1, W-k+1, F) map and the backward cache.
     """
-    xb, squeezed = _as_batch(x, 3)
+    x = _batch(x, 4, "(B, H, W, C)")
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
     if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
         raise ShapeMismatchError(f"conv weights must be (k, k, C, F), got {weights.shape}")
     k, _, c_in, f = weights.shape
-    if xb.shape[3] != c_in:
-        raise ShapeMismatchError(f"input channels {xb.shape[3]} != weight channels {c_in}")
+    if x.shape[3] != c_in:
+        raise ShapeMismatchError(f"input channels {x.shape[3]} != weight channels {c_in}")
     if biases.shape != (f,):
         raise ShapeMismatchError(f"biases must be ({f},), got {biases.shape}")
-    if xb.shape[1] < k or xb.shape[2] < k:
-        raise ShapeMismatchError(f"input {xb.shape[1]}x{xb.shape[2]} smaller than filter {k}x{k}")
+    if x.shape[1] < k or x.shape[2] < k:
+        raise ShapeMismatchError(f"input {x.shape[1]}x{x.shape[2]} smaller than filter {k}x{k}")
 
-    view = np.lib.stride_tricks.sliding_window_view(xb, (k, k), axis=(1, 2))
+    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
     b, out_h, out_w = view.shape[:3]
-    cols = view.reshape(b, out_h, out_w, c_in * k * k)
+    # one row per output position of every sample: a 2-D operand makes the
+    # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
+    cols = view.reshape(b * out_h * out_w, c_in * k * k)
     w_mat = weights.transpose(2, 0, 1, 3).reshape(c_in * k * k, f)
-    z = cols @ w_mat + biases
+    z = (cols @ w_mat + biases).reshape(b, out_h, out_w, f)
     out = _activate(z, activation)
-    cache = ConvCache(cols, w_mat, z, out, activation, xb.shape, k, squeezed)
-    return (out[0] if squeezed else out), cache
+    return out, ConvCache(cols, w_mat, z, out, activation, x.shape, k)
 
 
 def conv2d_backward(
@@ -210,8 +162,6 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward w.r.t. input, weights and biases."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if cache.squeezed:
-        grad_out = grad_out[None, ...]
     if grad_out.shape != cache.out.shape:
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {cache.out.shape}"
@@ -224,16 +174,13 @@ def conv2d_backward(
     grad_z = _activate_backward(grad_out, cache.activation, cache.z, cache.out)
     grad_b = grad_z.sum(axis=(0, 1, 2))
     gz_flat = grad_z.reshape(-1, f)
-    grad_w_mat = cache.cols.reshape(-1, c_in * k * k).T @ gz_flat
-    grad_w = grad_w_mat.reshape(c_in, k, k, f).transpose(1, 2, 0, 3)
+    grad_w = (cache.cols.T @ gz_flat).reshape(c_in, k, k, f).transpose(1, 2, 0, 3)
 
     grad_cols = (gz_flat @ cache.w_mat.T).reshape(batch, out_h, out_w, c_in, k, k)
     grad_x = np.zeros(cache.in_shape, dtype=np.float64)
     for ki in range(k):
         for kj in range(k):
             grad_x[:, ki : ki + out_h, kj : kj + out_w, :] += grad_cols[:, :, :, :, ki, kj]
-    if cache.squeezed:
-        grad_x = grad_x[0]
     return grad_x, grad_w, grad_b
 
 
@@ -248,7 +195,6 @@ class DenseCache:
     z: np.ndarray
     out: np.ndarray
     activation: str
-    squeezed: bool
 
 
 def dense_forward(
@@ -258,19 +204,18 @@ def dense_forward(
     activation: str = "relu",
 ) -> tuple[np.ndarray, DenseCache]:
     """Affine map plus activation: x (B, D) @ weights (D, K) + biases (K,)."""
-    xb, squeezed = _as_batch(x, 1)
+    x = _batch(x, 2, "(B, D)")
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
-    if weights.ndim != 2 or xb.shape[1] != weights.shape[0]:
+    if weights.ndim != 2 or x.shape[1] != weights.shape[0]:
         raise ShapeMismatchError(
-            f"input width {xb.shape[1]} incompatible with weights {weights.shape}"
+            f"input width {x.shape[1]} incompatible with weights {weights.shape}"
         )
     if biases.shape != (weights.shape[1],):
         raise ShapeMismatchError(f"biases must be ({weights.shape[1]},), got {biases.shape}")
-    z = xb @ weights + biases
+    z = x @ weights + biases
     out = _activate(z, activation)
-    cache = DenseCache(xb, weights, z, out, activation, squeezed)
-    return (out[0] if squeezed else out), cache
+    return out, DenseCache(x, weights, z, out, activation)
 
 
 def dense_backward(
@@ -278,19 +223,12 @@ def dense_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of dense_forward w.r.t. input, weights and biases."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if cache.squeezed:
-        grad_out = grad_out[None, ...]
     if grad_out.shape != cache.out.shape:
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {cache.out.shape}"
         )
     grad_z = _activate_backward(grad_out, cache.activation, cache.z, cache.out)
-    grad_w = cache.x.T @ grad_z
-    grad_b = grad_z.sum(axis=0)
-    grad_x = grad_z @ cache.weights.T
-    if cache.squeezed:
-        grad_x = grad_x[0]
-    return grad_x, grad_w, grad_b
+    return grad_z @ cache.weights.T, cache.x.T @ grad_z, grad_z.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +241,21 @@ def dense_backward(
 
 @dataclass
 class LstmStepCache:
-    x_t: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
     i: np.ndarray
     f: np.ndarray
     g: np.ndarray
     o: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
 
 
 @dataclass
 class LstmCache:
+    xs: np.ndarray
     steps: list[LstmStepCache]
     w_x: np.ndarray
     w_h: np.ndarray
-    squeezed: bool
 
 
 def _check_lstm_params(w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray) -> int:
@@ -331,43 +267,6 @@ def _check_lstm_params(w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray) -> int:
     return hidden4 // 4
 
 
-def lstm_step(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One LSTM step; i/f/o gates are sigmoid, candidate and cell squashing tanh."""
-    xb, squeezed = _as_batch(x_t, 1)
-    hb = np.asarray(h_prev, dtype=np.float64)
-    cb = np.asarray(c_prev, dtype=np.float64)
-    if squeezed:
-        hb, cb = hb[None, ...], cb[None, ...]
-    w_x = np.asarray(w_x, dtype=np.float64)
-    w_h = np.asarray(w_h, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    hidden = _check_lstm_params(w_x, w_h, b)
-    if xb.shape[1] != w_x.shape[0]:
-        raise ShapeMismatchError(f"input dim {xb.shape[1]} != weight rows {w_x.shape[0]}")
-    if hb.shape[1] != hidden or cb.shape[1] != hidden:
-        raise ShapeMismatchError("state width != hidden dim")
-
-    z = xb @ w_x + hb @ w_h + b
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden : 2 * hidden])
-    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(z[:, 3 * hidden :])
-    c = f * cb + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = LstmStepCache(xb, hb, cb, i, f, g, o, c, tanh_c)
-    if squeezed:
-        return h[0], c[0], cache
-    return h, c, cache
-
-
 def lstm_forward(
     xs: np.ndarray,
     w_x: np.ndarray,
@@ -376,24 +275,40 @@ def lstm_forward(
 ) -> tuple[np.ndarray, LstmCache]:
     """Run a full sequence (B, T, D) from zero initial state.
 
-    Returns all hidden states (B, T, H) plus the BPTT cache.
+    i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
+    all hidden states (B, T, H) plus the BPTT cache.
     """
-    xsb, squeezed = _as_batch(xs, 2)
+    xs = _batch(xs, 3, "(B, T, D)")
     w_x = np.asarray(w_x, dtype=np.float64)
     w_h = np.asarray(w_h, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     hidden = _check_lstm_params(w_x, w_h, b)
-    batch, steps, _ = xsb.shape
+    batch, steps, dim = xs.shape
+    if dim != w_x.shape[0]:
+        raise ShapeMismatchError(f"input dim {dim} != weight rows {w_x.shape[0]}")
+
+    # Inside the loop the gates are packed [i, f, o, g], so that one sigmoid
+    # call covers the three sigmoid gates.  The input projection does not
+    # depend on the recurrence: one GEMM for every timestep, leaving only
+    # h @ w_h inside the loop.
+    order = np.arange(4 * hidden).reshape(4, hidden)[[0, 1, 3, 2]].ravel()
+    zx = (xs.reshape(batch * steps, dim) @ w_x[:, order] + b[order]).reshape(batch, steps, 4 * hidden)
+    w_h_ifog = w_h[:, order]
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     hs = np.empty((batch, steps, hidden))
     caches: list[LstmStepCache] = []
     for t in range(steps):
-        h, c, cache = lstm_step(xsb[:, t, :], h, c, w_x, w_h, b)
-        hs[:, t, :] = h
-        caches.append(cache)
-    full = LstmCache(caches, w_x, w_h, squeezed)
-    return (hs[0] if squeezed else hs), full
+        z = zx[:, t] + h @ w_h_ifog
+        ifo = sigmoid(z[:, : 3 * hidden])
+        i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
+        g = np.tanh(z[:, 3 * hidden :])
+        c_next = f * c + i * g
+        tanh_c = np.tanh(c_next)
+        caches.append(LstmStepCache(h, c, i, f, g, o, tanh_c))
+        h, c = o * tanh_c, c_next
+        hs[:, t] = h
+    return hs, LstmCache(xs, caches, w_x, w_h)
 
 
 def lstm_backward(
@@ -406,45 +321,36 @@ def lstm_backward(
     w.r.t. the inputs, w_x, w_h and b.
     """
     grad_hs = np.asarray(grad_hs, dtype=np.float64)
-    if cache.squeezed:
-        grad_hs = grad_hs[None, ...]
-    steps = len(cache.steps)
-    batch, hidden = cache.steps[0].h_prev.shape
+    batch, steps, dim = cache.xs.shape
+    hidden = cache.w_h.shape[0]
     if grad_hs.shape != (batch, steps, hidden):
         raise ShapeMismatchError(f"grad_hs shape {grad_hs.shape} != {(batch, steps, hidden)}")
 
-    grad_wx = np.zeros_like(cache.w_x)
-    grad_wh = np.zeros_like(cache.w_h)
-    grad_b = np.zeros(4 * hidden)
-    grad_xs = np.empty((batch, steps, cache.w_x.shape[0]))
+    # the loop only carries the recurrence; every weight gradient is one
+    # GEMM over all timesteps afterwards
+    dz = np.empty((batch, steps, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
     for t in reversed(range(steps)):
         st = cache.steps[t]
-        dh = grad_hs[:, t, :] + dh_next
+        dh = grad_hs[:, t] + dh_next
         do = dh * st.tanh_c
         dc = dc_next + dh * st.o * (1.0 - st.tanh_c**2)
         di = dc * st.g
         dg = dc * st.i
         df = dc * st.c_prev
         dc_next = dc * st.f
-        dz = np.concatenate(
-            [
-                di * st.i * (1.0 - st.i),
-                df * st.f * (1.0 - st.f),
-                dg * (1.0 - st.g**2),
-                do * st.o * (1.0 - st.o),
-            ],
-            axis=1,
-        )
-        grad_wx += st.x_t.T @ dz
-        grad_wh += st.h_prev.T @ dz
-        grad_b += dz.sum(axis=0)
-        grad_xs[:, t, :] = dz @ cache.w_x.T
-        dh_next = dz @ cache.w_h.T
-    if cache.squeezed:
-        grad_xs = grad_xs[0]
-    return grad_xs, grad_wx, grad_wh, grad_b
+        dz[:, t, :hidden] = di * st.i * (1.0 - st.i)
+        dz[:, t, hidden : 2 * hidden] = df * st.f * (1.0 - st.f)
+        dz[:, t, 2 * hidden : 3 * hidden] = dg * (1.0 - st.g**2)
+        dz[:, t, 3 * hidden :] = do * st.o * (1.0 - st.o)
+        dh_next = dz[:, t] @ cache.w_h.T
+    dz_rows = dz.reshape(batch * steps, 4 * hidden)
+    h_prev = np.stack([st.h_prev for st in cache.steps], axis=1).reshape(batch * steps, hidden)
+    grad_xs = (dz_rows @ cache.w_x.T).reshape(batch, steps, dim)
+    grad_wx = cache.xs.reshape(batch * steps, dim).T @ dz_rows
+    grad_wh = h_prev.T @ dz_rows
+    return grad_xs, grad_wx, grad_wh, dz_rows.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

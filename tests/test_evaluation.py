@@ -177,6 +177,18 @@ def test_write_report_emits_documented_files(tmp_path):
         "stub_b": StubPredictor(lambda s: float(s.matrix[2, -1])),
     }
     report = evaluation.evaluate_models(models_map, ds, slots=(time(12, 0),))
+    # one prediction per model gives exactly what the public per-figure functions give
+    point = next(p for p in ds.spec.points if p.id == report.notes["point"])
+    curve_day = date.fromisoformat(report.notes["curve_date"])
+    assert report.records == [
+        rec for name, model in models_map.items() for rec in evaluation.daily_rmse(model, ds, name)
+    ]
+    for name, model in models_map.items():
+        curve = evaluation.day_curve(model, ds, point, curve_day)
+        slot = evaluation.slot_series(model, ds, point, time(12, 0))
+        assert curve and slot
+        assert report.series[f"day_curve/{name}"] == [(t.isoformat(), p, a) for t, p, a in curve]
+        assert report.series[f"slot_12:00/{name}"] == [(d.isoformat(), p, a) for d, p, a in slot]
     written = evaluation.write_report(report, tmp_path)
     names = {p.name for p in written}
     assert names == {"daily_rmse.csv", "boxplot.csv", "day_curve.csv", "slot_12:00.csv"}

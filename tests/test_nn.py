@@ -28,30 +28,22 @@ def _margin_sample(build, min_margin=1e-3, max_tries=50):
 
 def test_conv_shapes_match_architecture_table():
     rng = np.random.default_rng(0)
-    x = rng.uniform(0, 1, size=(9, 5, 1))
+    x = rng.uniform(0, 1, size=(1, 9, 5, 1))
     w1 = rng.normal(size=(3, 3, 1, 64))
     out1, _ = nn.conv2d_forward(x, w1, np.zeros(64))
-    assert out1.shape == (7, 3, 64)
+    assert out1.shape == (1, 7, 3, 64)
     w2 = rng.normal(size=(3, 3, 64, 64))
     out2, _ = nn.conv2d_forward(out1, w2, np.zeros(64))
-    assert out2.shape == (5, 1, 64)
-
-
-def test_conv_spec_output_shape_and_param_count():
-    spec = nn.ConvLayerSpec(filter_size=3, num_filters=64, in_channels=1)
-    assert spec.output_shape(9, 5) == (7, 3, 64)
-    assert spec.param_count == 3 * 3 * 1 * 64 + 64
-    with pytest.raises(nn.ShapeMismatchError):
-        spec.output_shape(2, 2)
+    assert out2.shape == (1, 5, 1, 64)
 
 
 def test_conv_identity_filter_extracts_center():
-    x = np.arange(9.0).reshape(3, 3, 1)
+    x = np.arange(9.0).reshape(1, 3, 3, 1)
     w = np.zeros((3, 3, 1, 1))
     w[1, 1, 0, 0] = 1.0
     out, _ = nn.conv2d_forward(x, w, np.zeros(1), activation="linear")
-    assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == x[1, 1, 0]
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == x[0, 1, 1, 0]
 
 
 def test_conv_zero_grad_out_gives_zero_grads():
@@ -102,26 +94,27 @@ def test_conv_gradients_match_finite_differences(activation, seed):
 
 
 @given(
+    batch=st.integers(1, 3),
     height=st.integers(3, 10),
     width=st.integers(3, 10),
     k=st.integers(1, 3),
     channels=st.integers(1, 3),
     filters=st.integers(1, 4),
 )
-def test_conv_shape_law_property(height, width, k, channels, filters):
+def test_conv_shape_law_property(batch, height, width, k, channels, filters):
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(height, width, channels))
+    x = rng.normal(size=(batch, height, width, channels))
     w = rng.normal(size=(k, k, channels, filters))
     out, _ = nn.conv2d_forward(x, w, np.zeros(filters))
-    assert out.shape == (height - k + 1, width - k + 1, filters)
+    assert out.shape == (batch, height - k + 1, width - k + 1, filters)
 
 
 def test_conv_shape_mismatch_errors():
     rng = np.random.default_rng(3)
-    with pytest.raises(nn.ShapeMismatchError):
-        nn.conv2d_forward(rng.normal(size=(9, 5, 2)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
-    with pytest.raises(nn.ShapeMismatchError):
-        nn.conv2d_forward(rng.normal(size=(2, 2, 1)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
+    with pytest.raises(nn.ShapeMismatchError, match="channels"):
+        nn.conv2d_forward(rng.normal(size=(1, 9, 5, 2)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
+    with pytest.raises(nn.ShapeMismatchError, match="smaller than filter"):
+        nn.conv2d_forward(rng.normal(size=(1, 2, 2, 1)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +123,15 @@ def test_conv_shape_mismatch_errors():
 
 def test_dense_chain_matches_architecture_table():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=320)
+    x = rng.normal(size=(1, 320))
     h, _ = nn.dense_forward(x, rng.normal(size=(320, 32)), np.zeros(32))
-    assert h.shape == (32,)
+    assert h.shape == (1, 32)
     out, _ = nn.dense_forward(h, rng.normal(size=(32, 1)), np.zeros(1), activation="sigmoid")
-    assert out.shape == (1,)
+    assert out.shape == (1, 1)
 
 
 def test_dense_identity_is_identity():
-    x = np.array([0.3, -1.2, 4.5])
+    x = np.array([[0.3, -1.2, 4.5]])
     out, _ = nn.dense_forward(x, np.eye(3), np.zeros(3), activation="linear")
     np.testing.assert_array_equal(out, x)
 
@@ -174,36 +167,42 @@ def test_dense_gradients_match_finite_differences(activation, seed):
 
 def test_lstm_zero_parameters_give_zero_state():
     # sigmoid(0) = 0.5 but the candidate tanh(0) = 0, so c = 0 and h = 0
-    x = np.array([0.7, -0.3, 0.1])
-    h, c, _ = nn.lstm_step(x, np.zeros(4), np.zeros(4), np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16))
-    np.testing.assert_array_equal(h, np.zeros(4))
-    np.testing.assert_array_equal(c, np.zeros(4))
+    xs = np.array([[[0.7, -0.3, 0.1], [-0.2, 0.9, 0.4]]])
+    hs, cache = nn.lstm_forward(xs, np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16))
+    np.testing.assert_array_equal(hs, np.zeros((1, 2, 4)))
+    np.testing.assert_array_equal(cache.steps[1].c_prev, np.zeros((1, 4)))
+    np.testing.assert_array_equal(cache.steps[1].tanh_c, np.zeros((1, 4)))
 
 
 def test_lstm_single_unit_matches_scalar_hand_computation():
-    # one unit, one input; every quantity recomputed here with plain math
+    # one unit, one input, two steps from zero state; every quantity is
+    # recomputed here with plain math, so the second step checks the
+    # recurrence on a nonzero h_prev / c_prev
     wx = np.array([[0.5, -0.3, 0.8, 0.2]])
     wh = np.array([[0.1, 0.4, -0.2, 0.3]])
     b = np.array([0.05, -0.1, 0.2, 0.0])
-    x, h_prev, c_prev = 0.6, 0.25, -0.4
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    zi = wx[0, 0] * x + wh[0, 0] * h_prev + b[0]
-    zf = wx[0, 1] * x + wh[0, 1] * h_prev + b[1]
-    zg = wx[0, 2] * x + wh[0, 2] * h_prev + b[2]
-    zo = wx[0, 3] * x + wh[0, 3] * h_prev + b[3]
-    c_expected = sig(zf) * c_prev + sig(zi) * math.tanh(zg)
-    h_expected = sig(zo) * math.tanh(c_expected)
+    def step(x, h_prev, c_prev):
+        zi = wx[0, 0] * x + wh[0, 0] * h_prev + b[0]
+        zf = wx[0, 1] * x + wh[0, 1] * h_prev + b[1]
+        zg = wx[0, 2] * x + wh[0, 2] * h_prev + b[2]
+        zo = wx[0, 3] * x + wh[0, 3] * h_prev + b[3]
+        c = sig(zf) * c_prev + sig(zi) * math.tanh(zg)
+        return sig(zo) * math.tanh(c), c
 
-    h, c, _ = nn.lstm_step(np.array([x]), np.array([h_prev]), np.array([c_prev]), wx, wh, b)
-    assert c[0] == pytest.approx(c_expected, abs=1e-15)
-    assert h[0] == pytest.approx(h_expected, abs=1e-15)
+    h0, c0 = step(0.6, 0.0, 0.0)
+    h1, c1 = step(-0.9, h0, c0)
+    assert h0 != 0.0 and c0 != 0.0
 
-
-def test_lstm_spec_param_count():
-    assert nn.LstmCellSpec(input_dim=9, hidden_dim=20).param_count == 4 * 20 * (9 + 20 + 1)
+    hs, cache = nn.lstm_forward(np.array([[[0.6], [-0.9]]]), wx, wh, b)
+    assert hs[0, 0, 0] == pytest.approx(h0, abs=1e-15)
+    assert cache.steps[1].h_prev[0, 0] == pytest.approx(h0, abs=1e-15)
+    assert cache.steps[1].c_prev[0, 0] == pytest.approx(c0, abs=1e-15)
+    assert cache.steps[1].tanh_c[0, 0] == pytest.approx(math.tanh(c1), abs=1e-15)
+    assert hs[0, 1, 0] == pytest.approx(h1, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -372,11 +371,46 @@ def test_sgd_rejects_non_finite_gradient():
 
 
 def test_activation_output_ranges():
-    z = np.random.default_rng(9).normal(scale=4.0, size=1000)
-    s = nn.sigmoid(z)
+    rng = np.random.default_rng(9)
+    z = rng.normal(scale=4.0, size=1000)
+    wide = np.concatenate([rng.uniform(-1e3, 1e3, size=1000), [-1e3, 1e3]])
+    with np.errstate(all="raise"):
+        s, s_wide = nn.sigmoid(z), nn.sigmoid(wide)
+        t, t_wide = np.tanh(z), np.tanh(wide)
     assert np.all((s > 0.0) & (s < 1.0))
-    t = np.tanh(z)
     assert np.all((t > -1.0) & (t < 1.0))
+    # far out the results round to the bounds themselves
+    assert np.all((s_wide >= 0.0) & (s_wide <= 1.0))
+    assert np.all((t_wide >= -1.0) & (t_wide <= 1.0))
+    assert s_wide[-2:].tolist() == [0.0, 1.0]
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    # reference: evaluate each sign on its own, through exp(-z) or exp(z)
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(12)
+    extremes = [0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]
+    z = np.concatenate([rng.normal(scale=20.0, size=10_000), extremes])
+    with np.errstate(under="ignore"):
+        expected = masked(z)
+    np.testing.assert_array_equal(nn.sigmoid(z).view(np.int64), expected.view(np.int64))
+
+
+def test_kernels_reject_unbatched_input():
+    rng = np.random.default_rng(13)
+    with pytest.raises(nn.ShapeMismatchError, match="batch"):
+        nn.conv2d_forward(rng.normal(size=(9, 5, 1)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
+    with pytest.raises(nn.ShapeMismatchError, match="batch"):
+        nn.dense_forward(rng.normal(size=320), rng.normal(size=(320, 32)), np.zeros(32))
+    with pytest.raises(nn.ShapeMismatchError, match="batch"):
+        nn.lstm_forward(rng.normal(size=(5, 9)), rng.normal(size=(9, 80)), rng.normal(size=(20, 80)), np.zeros(80))
 
 
 def test_forward_determinism():
