@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import PointId, SnapshotConfig
 from .ingestion import Dataset
+from .models import PREDICT_CHUNK
 
 __all__ = [
     "UnknownPointError",
@@ -85,7 +86,7 @@ class PersistencePredictor:
     def predict_snapshot(self, snap) -> float:
         return self.predict(snap.matrix)
 
-    def predict_dataset(self, dataset: Dataset, chunk: int = 4096) -> np.ndarray:
+    def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
         w = dataset.windows
         return w.grid[w.centre, w.column]
 

@@ -441,7 +441,11 @@ class Dataset:
         centre, column = w.centre[rows], w.column[rows]
         if not len(centre):
             return np.zeros((0, cfg.rows, cfg.cols))
-        views = np.lib.stride_tricks.sliding_window_view(w.grid, (cfg.rows, cfg.cols))
+        # the sliding_window_view of the grid, built without its per-call checks
+        grid = w.grid
+        (points, ticks), (s_p, s_t) = grid.shape, grid.strides
+        shape = (points - cfg.rows + 1, ticks - cfg.cols + 1, cfg.rows, cfg.cols)
+        views = np.lib.stride_tricks.as_strided(grid, shape, (s_p, s_t, s_p, s_t), writeable=False)
         return views[centre - cfg.n_in, column - cfg.delta]
 
     def targets(self) -> np.ndarray:

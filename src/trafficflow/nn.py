@@ -28,6 +28,7 @@ __all__ = [
     "LossBatch",
     "conv2d_forward",
     "conv2d_backward",
+    "conv2d_param_grads",
     "dense_forward",
     "dense_backward",
     "lstm_forward",
@@ -146,8 +147,14 @@ def conv2d_forward(
     if x.shape[1] < k or x.shape[2] < k:
         raise ShapeMismatchError(f"input {x.shape[1]}x{x.shape[2]} smaller than filter {k}x{k}")
 
-    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    b, out_h, out_w = view.shape[:3]
+    # the (B, H', W', C, k, k) window view sliding_window_view gives, built
+    # directly: its argument checks cost more than the view at batch 1
+    b, height, width = x.shape[:3]
+    out_h, out_w = height - k + 1, width - k + 1
+    s_b, s_h, s_w, s_c = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, (b, out_h, out_w, c_in, k, k), (s_b, s_h, s_w, s_c, s_h, s_w), writeable=False
+    )
     # one row per output position of every sample: a 2-D operand makes the
     # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
     cols = view.reshape(b * out_h * out_w, c_in * k * k)
@@ -157,25 +164,40 @@ def conv2d_forward(
     return out, ConvCache(cols, w_mat, z, out, activation, x.shape, k)
 
 
-def conv2d_backward(
-    grad_out: np.ndarray, cache: ConvCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward w.r.t. input, weights and biases."""
+def conv2d_param_grads(grad_out: np.ndarray, cache: ConvCache) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of conv2d_forward w.r.t. weights and biases only.
+
+    A network's first layer needs no more: its input gradient feeds nothing.
+    """
+    grad_w, grad_b, _ = _conv_param_grads(grad_out, cache)
+    return grad_w, grad_b
+
+
+def _conv_param_grads(grad_out, cache):
+    """Weight and bias gradients, plus the pre-activation gradient as one
+    row per output position, which the input gradient needs."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != cache.out.shape:
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {cache.out.shape}"
         )
     k = cache.filter_size
-    batch, height, width, c_in = cache.in_shape
-    out_h, out_w = cache.out.shape[1:3]
+    c_in = cache.in_shape[3]
     f = cache.w_mat.shape[1]
-
     grad_z = _activate_backward(grad_out, cache.activation, cache.z, cache.out)
-    grad_b = grad_z.sum(axis=(0, 1, 2))
     gz_flat = grad_z.reshape(-1, f)
     grad_w = (cache.cols.T @ gz_flat).reshape(c_in, k, k, f).transpose(1, 2, 0, 3)
+    return grad_w, grad_z.sum(axis=(0, 1, 2)), gz_flat
 
+
+def conv2d_backward(
+    grad_out: np.ndarray, cache: ConvCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of conv2d_forward w.r.t. input, weights and biases."""
+    grad_w, grad_b, gz_flat = _conv_param_grads(grad_out, cache)
+    k = cache.filter_size
+    batch, _, _, c_in = cache.in_shape
+    out_h, out_w = cache.out.shape[1:3]
     grad_cols = (gz_flat @ cache.w_mat.T).reshape(batch, out_h, out_w, c_in, k, k)
     grad_x = np.zeros(cache.in_shape, dtype=np.float64)
     for ki in range(k):

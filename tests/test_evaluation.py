@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trafficflow import core, evaluation, ingestion
+from trafficflow.models import PREDICT_CHUNK
 
 from conftest import make_network_series
 
@@ -19,7 +20,7 @@ class StubPredictor:
     def __init__(self, fn):
         self._fn = fn
 
-    def predict_dataset(self, dataset, chunk=4096):
+    def predict_dataset(self, dataset, chunk=PREDICT_CHUNK):
         return np.array([self._fn(s) for s in dataset.snapshots])
 
     def predict_snapshot(self, snap):

@@ -670,3 +670,12 @@ def test_grid_dataset_equals_per_object_windowing(world):
     for dataset, want in ((ds, reference), (sub, [reference[r] for r in rows])):
         loaded = ingestion.dataset_from_bytes(ingestion.dataset_to_bytes(dataset))
         _assert_matches_reference(loaded, want, cfg)
+
+    # windows are gathered through the grid's own strides, so a column-major
+    # grid gives the same matrices
+    grid = np.asfortranarray(ds.windows.grid)
+    grid.flags.writeable = False
+    assert not grid.flags.c_contiguous or grid.shape[0] <= 1 or grid.shape[1] <= 1
+    column_major = ingestion.Dataset(ds.windows._replace(grid=grid), cfg, spec)
+    assert column_major.windows.grid is grid
+    _assert_matches_reference(column_major, reference, cfg)

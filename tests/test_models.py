@@ -207,6 +207,27 @@ def test_predict_dataset_matches_single_predictions():
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
+def test_predict_dataset_is_independent_of_chunk_size():
+    chunk = models.PREDICT_CHUNK
+    spec = core.chain_network(11, 60.0)  # three centre points with full neighbourhoods
+    cfg = core.SnapshotConfig(step_minutes=30)
+    # about 3.5 default chunks, so the last one is partial
+    slots = cfg.delta + cfg.horizon_steps + -(-7 * chunk // 6)
+    values = np.random.default_rng(11).uniform(0, 1, size=(11, slots))
+    ds = ingestion.window(make_network_series(values, spec), spec, cfg)
+    assert ds.z > 3 * chunk and ds.z % chunk
+    sample = np.append(np.random.default_rng(12).choice(ds.z, size=20, replace=False), [chunk - 1, chunk, ds.z - 1])
+    for model in (
+        models.CnnPredictor.initialize(1, context_mode="concat"),
+        models.LstmPredictor.initialize(1),
+    ):
+        default = model.predict_dataset(ds)
+        for size in (1, 7, chunk, ds.z):
+            np.testing.assert_allclose(model.predict_dataset(ds, chunk=size), default, rtol=0, atol=1e-12)
+        single = np.array([model.predict_snapshot(ds.snapshots[int(i)]) for i in sample])
+        np.testing.assert_allclose(default[sample], single, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # parameter files
 

@@ -109,6 +109,46 @@ def test_conv_shape_law_property(batch, height, width, k, channels, filters):
     assert out.shape == (batch, height - k + 1, width - k + 1, filters)
 
 
+@given(
+    batch=st.integers(0, 3),
+    height=st.integers(3, 8),
+    width=st.integers(3, 8),
+    k=st.integers(1, 3),
+    channels=st.integers(1, 3),
+    layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_patches_equal_sliding_window_view(batch, height, width, k, channels, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "transposed":
+        x = rng.normal(size=(channels, width, height, batch)).transpose(3, 2, 1, 0)
+    elif layout == "strided":
+        x = rng.normal(size=(batch, 2 * height, width + 1, channels))[:, ::2, 1:]
+    else:
+        x = rng.normal(size=(batch, height, width, channels))
+    assert x.shape == (batch, height, width, channels)
+    w = rng.normal(size=(k, k, channels, 2))
+    _, cache = nn.conv2d_forward(x, w, np.zeros(2))
+    want = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    want = want.reshape(-1, channels * k * k)
+    assert cache.cols.shape == want.shape
+    assert cache.cols.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_conv_param_grads_equal_backward():
+    rng = np.random.default_rng(5)
+    for activation in ("linear", "relu", "sigmoid"):
+        x = rng.normal(size=(4, 9, 5, 3))
+        _, cache = nn.conv2d_forward(x, rng.normal(size=(3, 3, 3, 6)), rng.normal(size=6), activation)
+        grad_out = rng.normal(size=cache.out.shape)
+        _, gw, gb = nn.conv2d_backward(grad_out, cache)
+        pw, pb = nn.conv2d_param_grads(grad_out, cache)
+        assert pw.tobytes() == gw.tobytes() and pw.shape == gw.shape
+        assert pb.tobytes() == gb.tobytes() and pb.shape == gb.shape
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.conv2d_param_grads(grad_out[:, :-1], cache)
+
+
 def test_conv_shape_mismatch_errors():
     rng = np.random.default_rng(3)
     with pytest.raises(nn.ShapeMismatchError, match="channels"):
