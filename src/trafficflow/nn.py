@@ -3,7 +3,10 @@
 Everything runs in float64 numpy.  Every layer takes a batch: an array
 whose leading dimension indexes samples, one sample being a batch of one.
 Each layer's weights meet the whole batch in one 2-D matrix product (the
-LSTM's recurrent product is one per timestep).  The forward pass returns a
+LSTM's recurrent product is one per timestep).  Convolution patches are
+gathered in the weights' own (k, k, C) order, so the weight matrix is a view
+of the (k, k, C, F) weights; the LSTM halves its sigmoid-gate columns so
+that one tanh per step gives all four gates.  The forward pass returns a
 cache object that the matching backward pass consumes.  Backward passes
 are analytic (no autodiff) and are held to central finite differences by
 the test suite.
@@ -114,8 +117,8 @@ def _batch(x: np.ndarray, ndim: int, layout: str) -> np.ndarray:
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray        # (B*H'*W', C*k*k) im2col patches
-    w_mat: np.ndarray       # (C*k*k, F)
+    cols: np.ndarray        # (B*H'*W', k*k*C) im2col patches
+    w_mat: np.ndarray       # (k*k*C, F), a view of the (k, k, C, F) weights
     z: np.ndarray
     out: np.ndarray
     activation: str
@@ -147,18 +150,20 @@ def conv2d_forward(
     if x.shape[1] < k or x.shape[2] < k:
         raise ShapeMismatchError(f"input {x.shape[1]}x{x.shape[2]} smaller than filter {k}x{k}")
 
-    # the (B, H', W', C, k, k) window view sliding_window_view gives, built
-    # directly: its argument checks cost more than the view at batch 1
+    # (B, H', W', k, k, C) window view, built directly (sliding_window_view's
+    # argument checks cost more than the view at batch 1).  Patches in the
+    # weights' own (k, k, C) order make w_mat a view of the weights, and the
+    # patch copy moves contiguous runs of C channels.
     b, height, width = x.shape[:3]
     out_h, out_w = height - k + 1, width - k + 1
     s_b, s_h, s_w, s_c = x.strides
     view = np.lib.stride_tricks.as_strided(
-        x, (b, out_h, out_w, c_in, k, k), (s_b, s_h, s_w, s_c, s_h, s_w), writeable=False
+        x, (b, out_h, out_w, k, k, c_in), (s_b, s_h, s_w, s_h, s_w, s_c), writeable=False
     )
     # one row per output position of every sample: a 2-D operand makes the
     # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
-    cols = view.reshape(b * out_h * out_w, c_in * k * k)
-    w_mat = weights.transpose(2, 0, 1, 3).reshape(c_in * k * k, f)
+    cols = view.reshape(b * out_h * out_w, k * k * c_in)
+    w_mat = weights.reshape(k * k * c_in, f)
     z = (cols @ w_mat + biases).reshape(b, out_h, out_w, f)
     out = _activate(z, activation)
     return out, ConvCache(cols, w_mat, z, out, activation, x.shape, k)
@@ -186,7 +191,7 @@ def _conv_param_grads(grad_out, cache):
     f = cache.w_mat.shape[1]
     grad_z = _activate_backward(grad_out, cache.activation, cache.z, cache.out)
     gz_flat = grad_z.reshape(-1, f)
-    grad_w = (cache.cols.T @ gz_flat).reshape(c_in, k, k, f).transpose(1, 2, 0, 3)
+    grad_w = (cache.cols.T @ gz_flat).reshape(k, k, c_in, f)
     return grad_w, grad_z.sum(axis=(0, 1, 2)), gz_flat
 
 
@@ -198,11 +203,11 @@ def conv2d_backward(
     k = cache.filter_size
     batch, _, _, c_in = cache.in_shape
     out_h, out_w = cache.out.shape[1:3]
-    grad_cols = (gz_flat @ cache.w_mat.T).reshape(batch, out_h, out_w, c_in, k, k)
+    grad_cols = (gz_flat @ cache.w_mat.T).reshape(batch, out_h, out_w, k, k, c_in)
     grad_x = np.zeros(cache.in_shape, dtype=np.float64)
     for ki in range(k):
         for kj in range(k):
-            grad_x[:, ki : ki + out_h, kj : kj + out_w, :] += grad_cols[:, :, :, :, ki, kj]
+            grad_x[:, ki : ki + out_h, kj : kj + out_w, :] += grad_cols[:, :, :, ki, kj, :]
     return grad_x, grad_w, grad_b
 
 
@@ -259,6 +264,10 @@ def dense_backward(
 # Gate packing along the last axis of w_x (D, 4H), w_h (H, 4H), b (4H,):
 # [input i, forget f, candidate g, output o].
 #   c_t = f * c_{t-1} + i * g        h_t = o * tanh(c_t)
+#
+# lstm_forward halves the i/f/o columns (exact in binary), so one tanh
+# covers all four gates: sigmoid(z) = (1 + tanh(z / 2)) / 2.  Parameter
+# files, the cache and lstm_backward keep the unscaled weights.
 
 
 @dataclass
@@ -309,22 +318,26 @@ def lstm_forward(
     if dim != w_x.shape[0]:
         raise ShapeMismatchError(f"input dim {dim} != weight rows {w_x.shape[0]}")
 
-    # Inside the loop the gates are packed [i, f, o, g], so that one sigmoid
-    # call covers the three sigmoid gates.  The input projection does not
-    # depend on the recurrence: one GEMM for every timestep, leaving only
-    # h @ w_h inside the loop.
-    order = np.arange(4 * hidden).reshape(4, hidden)[[0, 1, 3, 2]].ravel()
-    zx = (xs.reshape(batch * steps, dim) @ w_x[:, order] + b[order]).reshape(batch, steps, 4 * hidden)
-    w_h_ifog = w_h[:, order]
+    # i/f/o columns halved (see the packing note above).  The input
+    # projection does not depend on the recurrence: one GEMM for every
+    # timestep, leaving only h @ w_h inside the loop.
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale).reshape(batch, steps, 4 * hidden)
+    w_h_half = w_h * scale
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     hs = np.empty((batch, steps, hidden))
     caches: list[LstmStepCache] = []
     for t in range(steps):
-        z = zx[:, t] + h @ w_h_ifog
-        ifo = sigmoid(z[:, : 3 * hidden])
-        i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
-        g = np.tanh(z[:, 3 * hidden :])
+        z = h @ w_h_half
+        z += zx[:, t]
+        gates = np.tanh(z, out=z)
+        # g keeps its tanh; (1 + t) / 2 turns the halved columns into sigmoids
+        g = gates[:, 2 * hidden : 3 * hidden].copy()
+        gates *= 0.5
+        gates += 0.5
+        i, f, o = gates[:, :hidden], gates[:, hidden : 2 * hidden], gates[:, 3 * hidden :]
         c_next = f * c + i * g
         tanh_c = np.tanh(c_next)
         caches.append(LstmStepCache(h, c, i, f, g, o, tanh_c))

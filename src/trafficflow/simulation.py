@@ -2,11 +2,17 @@
 
 Every network point publishes its own sensed condition once per tick; each
 eligible point runs a Node that hears only its declared upstream/downstream
-neighbours plus its own sensor, buffers the last ``delta + 1`` ticks per
-source, and predicts its own next-step condition from a locally assembled
-snapshot.  The tick barrier delivers all of a tick's messages before any
-node computes, which makes node predictions exactly equal to the
-centralized windowed pipeline.
+neighbours plus its own sensor, keeps the last ``delta + 1`` ticks per
+source in a ring buffer, and predicts its own next-step condition from a
+locally assembled snapshot.  The tick barrier delivers all of a tick's
+messages before any node computes, which makes node predictions exactly
+equal to the centralized windowed pipeline.
+
+Delivery order within a tick does not matter.  Each ring slot keeps the
+newest tick written to it: a late message older than its slot's tick is
+ignored, and a duplicate (sender, tick) overwrites the earlier copy, the
+last one winning.  So any schedule that delivers each (sender, tick) before
+that tick's barrier gives the centralized predictions bit for bit.
 
 A node never imputes: if any (source, tick) cell of its window is missing
 (e.g. a dropped message), it skips that tick and reports the gap.  A hole
@@ -78,11 +84,18 @@ class SimLog:
 
 
 class Node:
-    """One eligible point: a model copy, ring buffers, no global state.
+    """One eligible point: a model copy, a ring buffer, no global state.
 
     The node sees exactly its own sensor readings and the condition
     messages of its ``n_in + m_out`` declared neighbours; the locality
     property of the whole scheme rests on this constructor signature.
+
+    Each source row keeps ``delta + 1`` slots; tick t goes to slot
+    ``t % (delta + 1)``, stamped with t.  A slot keeps the newest tick it
+    was given: a message older than its slot's stamp is ignored, so a late
+    copy never overwrites newer data, and a repeat of the same (sender,
+    tick) overwrites it, so the last one wins.  A reading of tick t arrives
+    no earlier than tick t, when its sender publishes it.
     """
 
     def __init__(self, point: PointId, rows: Sequence[PointId], model, cfg: SnapshotConfig):
@@ -91,42 +104,39 @@ class Node:
         self.model = model
         self.row_ids = [p.id for p in rows]
         self.neighbor_ids = frozenset(p.id for p in rows if p.id != point.id)
-        self._buffers: dict[str, dict[int, float]] = {pid: {} for pid in self.row_ids}
+        self._row = {pid: r for r, pid in enumerate(self.row_ids)}
+        self._span = cfg.cols
+        self._values = np.zeros((len(self.row_ids), self._span))
+        self._stamps = np.full((len(self.row_ids), self._span), -1)  # -1: never written
 
     def observe(self, tick: int, condition: float) -> None:
         """Record the node's own sensor reading for this tick."""
-        self._buffers[self.point.id][tick] = condition
+        self._store(self._row[self.point.id], tick, condition)
 
     def receive(self, message: ConditionMessage) -> None:
         if message.from_point.id not in self.neighbor_ids:
             raise ValueError(f"{self.point.id}: unexpected sender {message.from_point.id}")
-        self._buffers[message.from_point.id][message.tick] = message.condition
+        self._store(self._row[message.from_point.id], message.tick, message.condition)
+
+    def _store(self, row: int, tick: int, condition: float) -> None:
+        slot = tick % self._span
+        if tick >= self._stamps[row, slot]:
+            self._stamps[row, slot] = tick
+            self._values[row, slot] = condition
 
     def step(self, tick: int, timestamp: datetime) -> SimRecord:
         """Attempt a prediction for tick + horizon from the buffered window."""
-        window = range(tick - self.cfg.delta, tick + 1)
         if tick < self.cfg.delta:
-            self._prune(tick)
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
-        stale = [
-            pid
-            for pid in self.row_ids
-            if any(t not in self._buffers[pid] for t in window)
-        ]
-        if stale:
-            self._prune(tick)
+        window = np.arange(tick - self.cfg.delta, tick + 1)
+        slots = window % self._span
+        fresh = self._stamps[:, slots] == window
+        if not fresh.all():
+            stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
             return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
-        matrix = np.array([[self._buffers[pid][t] for t in window] for pid in self.row_ids])
         day_value, time_value = context_scalars(timestamp)
-        prediction = self.model.predict(matrix, day_value, time_value)
-        self._prune(tick)
+        prediction = self.model.predict(self._values[:, slots], day_value, time_value)
         return SimRecord(tick, self.point.id, prediction, None)
-
-    def _prune(self, tick: int) -> None:
-        horizon = tick - self.cfg.delta
-        for buffer in self._buffers.values():
-            for t in [t for t in buffer if t < horizon]:
-                del buffer[t]
 
 
 def run(
@@ -162,15 +172,17 @@ def run(
     records: list[SimRecord] = []
     for tick in range(total_ticks):
         timestamp = start + step * tick
+        column = values[:, tick].tolist()
         for node in nodes:
-            node.observe(tick, float(values[position[node.point.id], tick]))
-        for sender in spec.points:
-            condition = float(values[position[sender.id], tick])
+            node.observe(tick, column[position[node.point.id]])
+        for sender, condition in zip(spec.points, column):
+            # one immutable message per sender and tick, shared by its listeners
+            message = ConditionMessage(sender, tick, timestamp, condition)
             for node in listeners[sender.id]:
                 if drop is not None and drop(sender.id, node.point.id, tick):
                     dropped += 1
                     continue
-                node.receive(ConditionMessage(sender, tick, timestamp, condition))
+                node.receive(message)
                 delivered += 1
         for node in nodes:
             records.append(node.step(tick, timestamp))

@@ -20,8 +20,12 @@ Criteria (stated tolerances pinned here):
 """
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, time, timedelta
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,10 +53,8 @@ def benchmark_world(tmp_path_factory):
     series = ingestion.synth(job.profile, job.spec, job.days, BENCH_DATA_SEED, cfg=job.cfg, start=job.start)
     dataset = ingestion.window(series, job.spec, job.cfg)
     ckpt = tmp_path_factory.mktemp("bench-ckpt")
-    trained = {}
-    reports = {}
-    for kind in ("cnn", "lstm"):
-        cfg = training.TrainConfig(
+    configs = {
+        kind: training.TrainConfig(
             model=kind,
             epochs=30,
             batch_size=32,
@@ -62,9 +64,19 @@ def benchmark_world(tmp_path_factory):
             loss="strict",
             checkpoint_dir=ckpt / kind,
         )
-        params, report = training.train(dataset, cfg)
-        trained[kind] = models.build_predictor(params)
-        reports[kind] = report
+        for kind in ("cnn", "lstm")
+    }
+    # The two trainings are independent: one worker process each, with BLAS
+    # pinned to one thread so that the workers do not contend for cores.
+    # Spawned workers read the thread count from the environment at import.
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        futures = {kind: pool.submit(training.train, dataset, cfg) for kind, cfg in configs.items()}
+        results = {kind: future.result() for kind, future in futures.items()}
+    trained = {kind: models.build_predictor(params) for kind, (params, _) in results.items()}
+    reports = {kind: report for kind, (_, report) in results.items()}
     _, test_ds = training.split(dataset, training.TrainConfig(split=training.by_point(20, 30)))
     return dataset, test_ds, trained, reports
 

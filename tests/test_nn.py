@@ -129,10 +129,13 @@ def test_conv_patches_equal_sliding_window_view(batch, height, width, k, channel
     assert x.shape == (batch, height, width, channels)
     w = rng.normal(size=(k, k, channels, 2))
     _, cache = nn.conv2d_forward(x, w, np.zeros(2))
+    # patches in the weights' (k, k, C) order
     want = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    want = want.reshape(-1, channels * k * k)
+    want = want.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * channels)
     assert cache.cols.shape == want.shape
     assert cache.cols.tobytes() == np.ascontiguousarray(want).tobytes()
+    # the weight matrix is the weights themselves, not a per-call copy
+    assert np.shares_memory(cache.w_mat, w)
 
 
 def test_conv_param_grads_equal_backward():
@@ -243,6 +246,29 @@ def test_lstm_single_unit_matches_scalar_hand_computation():
     assert cache.steps[1].c_prev[0, 0] == pytest.approx(c0, abs=1e-15)
     assert cache.steps[1].tanh_c[0, 0] == pytest.approx(math.tanh(c1), abs=1e-15)
     assert hs[0, 1, 0] == pytest.approx(h1, abs=1e-15)
+
+
+def test_lstm_gates_equal_sigmoid_of_unscaled_preactivations():
+    # lstm_forward takes i/f/o from one tanh of halved pre-activations.  With
+    # one input the pre-activation x * w + b rounds once, so the unscaled one
+    # is recomputed exactly here; far out both sides saturate at 0 or 1.
+    rng = np.random.default_rng(15)
+    batch, hidden = 256, 6
+    xs = rng.normal(scale=3.0, size=(batch, 1, 1))
+    wx = rng.normal(scale=2.0, size=(1, 4 * hidden))
+    wh = rng.normal(size=(hidden, 4 * hidden))
+    biases = [rng.normal(scale=4.0, size=4 * hidden)]
+    biases += [np.full(4 * hidden, v) for v in (0.0, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0, 1e3, -1e3)]
+    for b in biases:
+        with np.errstate(all="raise"):
+            _, cache = nn.lstm_forward(xs, wx, wh, b)
+            z = xs[:, 0] @ wx + b
+            want = nn.sigmoid(z)
+        step = cache.steps[0]
+        for name, gate in (("i", 0), ("f", 1), ("o", 3)):
+            cols = slice(gate * hidden, (gate + 1) * hidden)
+            assert np.max(np.abs(getattr(step, name) - want[:, cols])) <= 2.0**-52, name
+        np.testing.assert_array_equal(step.g, np.tanh(z[:, 2 * hidden : 3 * hidden]))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,9 +1,12 @@
 """Decentralized node simulation: warm-up, equivalence, faults, locality."""
 
 from datetime import timedelta
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trafficflow import core, ingestion, models, simulation
 
@@ -177,3 +180,108 @@ def test_node_rejects_messages_from_strangers():
     message = simulation.ConditionMessage(stranger, 0, START, 0.5)
     with pytest.raises(ValueError, match="unexpected sender"):
         node.receive(message)
+
+
+# ---------------------------------------------------------------------------
+# delivery order, duplicates and late messages
+
+
+@lru_cache(maxsize=None)
+def _schedule_world():
+    """A small world, a context-reading CNN, and the central predictions."""
+    spec, cfg, series = _world(n_points=10, days=1)
+    model = models.CnnPredictor.initialize(7, context_mode="concat")
+    central = {
+        (_tick_of(snap, cfg), snap.point.id): model.predict_snapshot(snap)
+        for snap in ingestion.window(series, spec, cfg).snapshots
+    }
+    values = {s.point.id: s.values for s in series}
+    return spec, cfg, model, central, values
+
+
+@given(data=st.data())
+def test_node_matches_central_under_any_timely_schedule(data):
+    # each (sender, tick) cell arrives in its own tick, in any order, with
+    # repeats and late copies of older ticks mixed in; at most one cell is
+    # missed.  A complete window must predict exactly what the central
+    # pipeline does; an incomplete one must skip, naming every sender whose
+    # cell is missing.
+    spec, cfg, model, central, values = _schedule_world()
+    point = data.draw(st.sampled_from(core.eligible_points(spec, cfg)))
+    rows = core.neighbor_rows(spec, point, cfg)
+    by_id = {p.id: p for p in rows}
+    row_ids = [p.id for p in rows]
+    node = simulation.Node(point, rows, model, cfg)
+    ticks = 3 * cfg.cols
+    missed = data.draw(st.none() | st.tuples(st.sampled_from(row_ids), st.integers(0, ticks - 1)))
+    step = timedelta(minutes=cfg.step_minutes)
+
+    delivered = set()
+    for tick in range(ticks):
+        cells = [(pid, tick) for pid in row_ids if (pid, tick) != missed]
+        repeats = data.draw(st.lists(st.sampled_from(cells), max_size=3))
+        late = []
+        if tick > 0:
+            late = data.draw(
+                st.lists(st.tuples(st.sampled_from(row_ids), st.integers(0, tick - 1)), max_size=3)
+            )
+        for pid, t in data.draw(st.permutations(cells + repeats + late)):
+            condition = float(values[pid][t])
+            if pid == point.id:
+                node.observe(t, condition)
+            else:
+                node.receive(simulation.ConditionMessage(by_id[pid], t, START + step * t, condition))
+            delivered.add((pid, t))
+
+        record = node.step(tick, START + step * tick)
+        if tick < cfg.delta:
+            assert record.skip_reason == simulation.SKIP_WARMUP
+            continue
+        window = range(tick - cfg.delta, tick + 1)
+        stale = [pid for pid in row_ids if any((pid, t) not in delivered for t in window)]
+        if stale:
+            assert record.prediction is None
+            assert record.skip_reason == f"{simulation.SKIP_STALE}:{','.join(stale)}"
+        else:
+            assert record.skip_reason is None
+            assert record.prediction == central[(tick, point.id)]
+        if missed is not None and missed[1] == tick:
+            assert missed[0] in stale
+
+
+class _Recorder:
+    """A model that records the matrix it is asked to predict from."""
+
+    def predict(self, matrix, day_value=0.0, time_value=0.0):
+        self.matrix = matrix.copy()
+        return 0.5
+
+
+def test_node_slot_keeps_newest_tick_and_last_duplicate():
+    spec, cfg, _ = _world()
+    point = core.eligible_points(spec, cfg)[0]
+    rows = core.neighbor_rows(spec, point, cfg)
+    sender = rows[0]
+    recorder = _Recorder()
+    node = simulation.Node(point, rows, recorder, cfg)
+
+    def deliver(tick, value):
+        node.observe(tick, value)
+        for p in rows:
+            if p.id != point.id:
+                node.receive(simulation.ConditionMessage(p, tick, START, value))
+
+    for tick in range(cfg.cols + 1):
+        deliver(tick, float(tick))
+    last = cfg.cols  # window 1 .. cols; tick 0 has left it
+    assert node.step(last, START).prediction == 0.5
+    np.testing.assert_array_equal(recorder.matrix[0], np.arange(1.0, last + 1))
+
+    # a late copy of tick 0 shares its slot with tick cols: ignored
+    node.receive(simulation.ConditionMessage(sender, 0, START, 0.25))
+    # a repeat of tick cols - 1 overwrites it: the last copy wins
+    node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.75))
+    node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.125))
+    assert node.step(last, START).prediction == 0.5
+    assert recorder.matrix[0].tolist() == [*range(1, last - 1), 0.125, last]
+    assert recorder.matrix[1:].tolist() == [list(map(float, range(1, last + 1)))] * (len(rows) - 1)
