@@ -2,24 +2,20 @@
 """Run the bundled generalization benchmark end to end.
 
 Synthesizes the 58-point / 48-day benchmark traffic, trains the CNN and the
-stacked LSTM for 30 epochs on the first 20 eligible points, evaluates daily
-RMSE on the remaining 30 points against the persistence baseline, and writes
-the evaluation CSVs.
+stacked LSTM for 30 epochs on the first 20 eligible points (one worker
+process each), evaluates daily RMSE on the remaining 30 points against the
+persistence baseline, and writes both model files and the evaluation CSVs.
 
 Usage:
     python scripts/run_benchmark.py [--data-seed 42] [--train-seed 123]
-                                    [--lr 0.3] [--out-dir benchmark-out]
+                                    [--lr 0.3] [--epochs 30] [--out-dir benchmark-out]
 """
 
 import argparse
 import sys
-import time
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from trafficflow import evaluation, ingestion, models, training
+from trafficflow import evaluation, experiments, models
 
 
 def main() -> int:
@@ -31,54 +27,21 @@ def main() -> int:
     parser.add_argument("--out-dir", default="benchmark-out")
     args = parser.parse_args()
 
-    profile_path = resources.files("trafficflow") / "profiles" / "benchmark.json"
-    job = ingestion.load_profile(str(profile_path))
-    print(f"synthesizing {len(job.spec)} points x {job.days} days (seed {args.data_seed})")
-    series = ingestion.synth(job.profile, job.spec, job.days, args.data_seed, cfg=job.cfg, start=job.start)
-    dataset = ingestion.window(series, job.spec, job.cfg)
-    print(f"dataset: {dataset.z} snapshots")
-
+    run = experiments.generalization(args.data_seed, args.train_seed, args.lr, args.epochs)
+    print(f"synthesized {len(run.job.spec)} points x {run.job.days} days (seed {args.data_seed})")
+    print(f"dataset: {run.dataset.z} snapshots")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    split_cfg = training.TrainConfig(split=training.by_point(20, 30))
-    _, test_ds = training.split(dataset, split_cfg)
-    predictors = {"persistence": evaluation.PersistencePredictor(dataset.config)}
-    trained = {}
-    for kind in ("cnn", "lstm"):
-        cfg = training.TrainConfig(
-            model=kind,
-            epochs=args.epochs,
-            lr=args.lr,
-            seed=args.train_seed,
-            split=training.by_point(20, 30),
-            checkpoint_dir=out_dir / f"{kind}-checkpoints",
-        )
-        started = time.perf_counter()
-        params, report = training.train(dataset, cfg)
-        trained[kind] = (time.perf_counter() - started, report)
-        models.save_file(params, out_dir / f"{kind}.tfmodel")
-        predictors[kind] = models.build_predictor(params)
-
-    # one evaluation gives every model's daily RMSE cells, persistence included
-    report = evaluation.evaluate_models(predictors, test_ds)
-    by_model: dict[str, list] = {}
-    for rec in report.records:
-        by_model.setdefault(rec.model, []).append(rec)
-    base_by_cell = {(r.point.order_index, r.date): r.rmse for r in by_model["persistence"]}
-    base_mean = float(np.mean(list(base_by_cell.values())))
-    for kind, (took, train_report) in trained.items():
-        records = by_model[kind]
-        mean_rmse = float(np.mean([r.rmse for r in records]))
-        wins = sum(1 for r in records if r.rmse < base_by_cell[(r.point.order_index, r.date)])
+    for kind, report in run.reports.items():
+        models.save_file(run.params[kind], out_dir / f"{kind}.tfmodel")
+        c = run.contrasts[kind]
         print(
-            f"[{kind}] {args.epochs} epochs in {took:.0f}s | final train loss "
-            f"{train_report.epoch_losses[-1]:.5f} | test RMSE {train_report.final_test_rmse:.5f} | "
-            f"mean daily RMSE {mean_rmse:.5f} vs persistence {base_mean:.5f} "
-            f"(ratio {mean_rmse / base_mean:.3f}) | cell wins {wins}/{len(records)}"
+            f"[{kind}] {args.epochs} epochs in {report.wall_time_s:.0f}s | final train loss "
+            f"{report.epoch_losses[-1]:.5f} | test RMSE {report.final_test_rmse:.5f} | "
+            f"mean daily RMSE {c.mean_rmse:.5f} vs persistence {c.persistence_mean:.5f} "
+            f"(ratio {c.mean_rmse / c.persistence_mean:.3f}) | cell wins {c.wins}/{c.cells}"
         )
-
-    for path in evaluation.write_report(report, out_dir):
+    for path in evaluation.write_report(run.evaluation, out_dir):
         print(f"wrote {path}")
     return 0
 

@@ -66,12 +66,12 @@ def _load_config_file(path: str | None) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _pick(flag, file_cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+# train settings a flag or the config file may give; other config-file keys are ignored
+_TRAIN_KEYS = (
+    "model", "epochs", "batch_size", "lr", "seed", "loss", "context_mode",
+    "split_axis", "train_units", "test_units",
+)
+_SPLITS = {"point": training.by_point, "time": training.by_time}
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -121,22 +121,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    # flags override the config file; what neither gives keeps the defaults
+    # of TrainConfig and of the split's constructor
     file_cfg = _load_config_file(args.config_file)
-    axis = _pick(args.split_axis, file_cfg, "split_axis", "point")
-    split_spec = training.SplitSpec(
-        axis=axis,
-        train=_pick(args.train_units, file_cfg, "train_units", 20 if axis == "point" else 48),
-        test=_pick(args.test_units, file_cfg, "test_units", 30 if axis == "point" else 12),
-    )
+    given = {key: file_cfg[key] for key in _TRAIN_KEYS if key in file_cfg}
+    given.update({key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None})
+    axis = given.pop("split_axis", "point")
+    if axis not in _SPLITS:
+        raise ValueError(f"unknown split axis {axis!r}")
+    units = {side: given.pop(f"{side}_units") for side in ("train", "test") if f"{side}_units" in given}
     cfg = training.TrainConfig(
-        model=_pick(args.model, file_cfg, "model", "cnn"),
-        epochs=_pick(args.epochs, file_cfg, "epochs", 30),
-        batch_size=_pick(args.batch_size, file_cfg, "batch_size", 32),
-        lr=_pick(args.lr, file_cfg, "lr", 0.01),
-        seed=_pick(args.seed, file_cfg, "seed", 0),
-        split=split_spec,
-        loss=_pick(args.loss, file_cfg, "loss", "strict"),
-        context_mode=_pick(args.context_mode, file_cfg, "context_mode", "none"),
+        **given,
+        split=_SPLITS[axis](**units),
         checkpoint_dir=args.checkpoint_dir or str(Path(args.out).with_suffix("")) + "-checkpoints",
     )
     dataset = ingestion.load_dataset(args.dataset)
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a predictor on a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=("cnn", "lstm"), default=None)
+    p.add_argument("--model", choices=tuple(models.KINDS), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)

@@ -14,7 +14,7 @@ from datetime import date as date_type
 from datetime import datetime
 from datetime import time as time_type
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,17 +184,19 @@ def _curve_rows(preds: np.ndarray, dataset: Dataset, point: PointId, day: date_t
     return [(ts.time(), pred, actual) for ts, pred, actual in rows]
 
 
-def mae_contrast(
-    predictor, dataset: Dataset, is_dip: Callable[[int], bool]
-) -> tuple[float, float, int, int]:
+def mae_contrast(predictor, dataset: Dataset, dip_mask: np.ndarray) -> tuple[float, float, int, int]:
     """Mean absolute error split into dip vs flat snapshots.
 
-    ``is_dip`` labels each snapshot index; returns (dip_mae, flat_mae,
-    n_dip, n_flat) with NaN for an empty group.
+    ``dip_mask`` is a boolean (P, T) mask over the dataset's condition grid;
+    a snapshot is a dip snapshot when its target's cell is set.  Returns
+    (dip_mae, flat_mae, n_dip, n_flat) with NaN for an empty group.  Raises
+    ValueError if the mask's shape is not the grid's.
     """
-    preds = predictor.predict_dataset(dataset)
-    abs_err = np.abs(preds - dataset.targets())
-    mask = np.array([bool(is_dip(i)) for i in range(dataset.z)])
+    w = dataset.windows
+    if np.shape(dip_mask) != w.grid.shape:
+        raise ValueError(f"dip mask shape {np.shape(dip_mask)} is not the grid's {w.grid.shape}")
+    mask = np.asarray(dip_mask, dtype=bool)[w.centre, w.column + dataset.config.horizon_steps]
+    abs_err = np.abs(predictor.predict_dataset(dataset) - dataset.targets())
     dip = abs_err[mask]
     flat = abs_err[~mask]
     dip_mae = float(np.mean(dip)) if dip.size else float("nan")

@@ -148,18 +148,6 @@ class CleanSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def timestamp_at(self, index: int) -> datetime:
-        return self.start + timedelta(minutes=self.step_minutes * index)
-
-    @property
-    def end(self) -> datetime:
-        return self.timestamp_at(len(self) - 1)
-
-    def as_raw(self) -> RawSeries:
-        """Reinterpret conditions as raw speeds against a unit speed limit."""
-        samples = tuple((self.timestamp_at(i), float(v)) for i, v in enumerate(self.values))
-        return RawSeries(point=self.point, samples=samples, speed_limit=1.0)
-
 
 # ---------------------------------------------------------------------------
 # raw file parsing
@@ -320,22 +308,11 @@ def clean(
             raise MisalignedSeriesError(f"{series.point.id}: sample at {ts} off the slot grid")
         values[int(offset)] = min(1.0, speed / series.speed_limit)
 
+    # the first and last slots hold samples, so every gap is interior
     missing = np.isnan(values)
     if missing.any():
-        idx = 0
-        while idx < n_slots:
-            if not missing[idx]:
-                idx += 1
-                continue
-            left = idx - 1
-            right = idx
-            while missing[right]:
-                right += 1
-            width = right - left
-            for j in range(idx, right):
-                w = (j - left) / width
-                values[j] = values[left] * (1.0 - w) + values[right] * w
-            idx = right
+        present = np.flatnonzero(~missing)
+        values[missing] = np.interp(np.flatnonzero(missing), present, values[present])
 
     return CleanSeries(point=series.point, values=values, start=start, step_minutes=cfg.step_minutes)
 

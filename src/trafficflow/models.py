@@ -16,6 +16,7 @@ shape manifest, float64 little-endian payload, sha256 trailer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,7 @@ __all__ = [
     "ModelParams",
     "CnnPredictor",
     "LstmPredictor",
+    "KINDS",
     "build_predictor",
     "save",
     "load",
@@ -150,6 +152,8 @@ class _Predictor:
 
     kind: str
     setting_names: tuple[str, ...] = ()
+    # bias slices that start at 1 rather than 0
+    unit_biases: dict[str, slice] = {}
 
     @staticmethod
     def _manifest(**settings) -> list[tuple[str, tuple[int, ...]]]:
@@ -163,6 +167,23 @@ class _Predictor:
                 raise ManifestMismatchError(f"{name}: expected shape {shape}, got {got}")
         self.params = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
         self.settings = settings
+
+    @classmethod
+    def initialize(cls, seed: int, *settings, **named_settings):
+        """Fresh parameters from the constructor's ``settings``: zero biases
+        but ``unit_biases``, Glorot-uniform weights.  The fans take a weight's
+        last axis as its outputs and the axes before its input axis as the
+        kernel (none for a dense layer)."""
+        rng = stream(seed, "init")
+        params: dict[str, np.ndarray] = {}
+        for name, shape in cls._manifest(*settings, **named_settings):
+            if name.endswith("_b"):
+                params[name] = np.zeros(shape)
+                params[name][cls.unit_biases.get(name, slice(0))] = 1.0
+            else:
+                fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
+                params[name] = nn.glorot_uniform(rng, shape, fan_in, fan_out)
+        return cls(params, *settings, **named_settings)
 
     @property
     def param_count(self) -> int:
@@ -199,22 +220,6 @@ class CnnPredictor(_Predictor):
             raise ValueError(f"unknown context_mode {context_mode!r}")
         self.context_mode = context_mode
         super().__init__(params, context_mode=context_mode)
-
-    @classmethod
-    def initialize(cls, seed: int, context_mode: str = "none") -> "CnnPredictor":
-        """Fresh parameters: Glorot-uniform weights, zero biases."""
-        rng = stream(seed, "init")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in _cnn_manifest(context_mode):
-            if name.endswith("_b"):
-                params[name] = np.zeros(shape)
-            elif name.startswith("conv"):
-                k, _, c_in, f = shape
-                fan = k * k * c_in, k * k * f
-                params[name] = nn.glorot_uniform(rng, shape, *fan)
-            else:
-                params[name] = nn.glorot_uniform(rng, shape, shape[0], shape[1])
-        return cls(params, context_mode)
 
     def shape_chain(self) -> list[tuple[int, ...]]:
         """Data shapes through the network, input to output."""
@@ -288,21 +293,8 @@ class LstmPredictor(_Predictor):
 
     kind = "lstm"
     _manifest = staticmethod(_lstm_manifest)
-
-    @classmethod
-    def initialize(cls, seed: int) -> "LstmPredictor":
-        """Glorot weights, zero biases except forget-gate bias at 1."""
-        rng = stream(seed, "init")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in _lstm_manifest():
-            if name.endswith("_b"):
-                bias = np.zeros(shape)
-                if name in ("l1_b", "l2_b"):
-                    bias[_LSTM_HIDDEN : 2 * _LSTM_HIDDEN] = 1.0
-                params[name] = bias
-            else:
-                params[name] = nn.glorot_uniform(rng, shape, shape[0], shape[1])
-        return cls(params)
+    # the forget gates' slice of each layer's [i, f, o, g] bias
+    unit_biases = dict.fromkeys(("l1_b", "l2_b"), slice(_LSTM_HIDDEN, 2 * _LSTM_HIDDEN))
 
     def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
         """Predictions for a (B, 9, 5) stack; context scalars are unused."""
@@ -347,13 +339,15 @@ class LstmPredictor(_Predictor):
 Predictor = CnnPredictor | LstmPredictor
 
 
+# every model kind, by the tag that training configs and model files carry
+KINDS: dict[str, type[Predictor]] = {cls.kind: cls for cls in (CnnPredictor, LstmPredictor)}
+
+
 def build_predictor(params: ModelParams) -> Predictor:
     """Reconstruct the right predictor from stored parameters."""
-    if params.kind == "cnn":
-        return CnnPredictor.from_params(params)
-    if params.kind == "lstm":
-        return LstmPredictor.from_params(params)
-    raise ManifestMismatchError(f"unknown model kind {params.kind!r}")
+    if params.kind not in KINDS:
+        raise ManifestMismatchError(f"unknown model kind {params.kind!r}")
+    return KINDS[params.kind].from_params(params)
 
 
 def save(params: ModelParams) -> bytes:
@@ -371,7 +365,7 @@ def load(data: bytes) -> ModelParams:
     """Parse and verify model-file bytes (magic, version, checksum, kind)."""
     header, arrays = read_container(data, MODEL_MAGIC, MODEL_FORMAT_VERSION)
     kind = header.get("kind")
-    if kind not in ("cnn", "lstm"):
+    if kind not in KINDS:
         raise ManifestMismatchError(f"unknown model kind {kind!r}")
     return ModelParams(
         kind=kind,

@@ -81,7 +81,7 @@ class TrainConfig:
     checkpoint_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in ("cnn", "lstm"):
+        if self.model not in models.KINDS:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
@@ -192,12 +192,6 @@ def split(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def _init_model(cfg: TrainConfig):
-    if cfg.model == "cnn":
-        return models.CnnPredictor.initialize(cfg.seed, cfg.context_mode)
-    return models.LstmPredictor.initialize(cfg.seed)
-
-
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, TrainReport]:
     """Split, run the epoch loop, checkpoint each epoch into
     ``cfg.checkpoint_dir`` (if set), report.
@@ -210,7 +204,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
     train_units = list(_units(train_ds, cfg.split.axis)[1])
     test_units = list(_units(test_ds, cfg.split.axis)[1])
 
-    model = _init_model(cfg)
+    kind = models.KINDS[cfg.model]
+    model = kind.initialize(cfg.seed, **{name: getattr(cfg, name) for name in kind.setting_names})
     day, time_v = train_ds.context()
     targets = train_ds.targets()
     z = train_ds.z

@@ -20,65 +20,18 @@ Criteria (stated tolerances pinned here):
 """
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from datetime import datetime, time, timedelta
-from importlib import resources
-from unittest import mock
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from trafficflow import core, evaluation, ingestion, models, nn, simulation, training
+from trafficflow import core, experiments, ingestion, models, nn, simulation, training
 
 from conftest import central_diff, rel_err
 
 
 def _pass(number: int, name: str) -> None:
     print(f"ACCEPTANCE {number} {name}: PASS")
-
-
-BENCH_DATA_SEED = 42
-BENCH_TRAIN_SEED = 123
-BENCH_LR = 0.3
-
-
-@pytest.fixture(scope="module")
-def benchmark_world(tmp_path_factory):
-    """Bundled benchmark: synth 48 days, train both models for 30 epochs."""
-    profile_path = resources.files("trafficflow") / "profiles" / "benchmark.json"
-    job = ingestion.load_profile(str(profile_path))
-    assert job.days == 48
-    series = ingestion.synth(job.profile, job.spec, job.days, BENCH_DATA_SEED, cfg=job.cfg, start=job.start)
-    dataset = ingestion.window(series, job.spec, job.cfg)
-    ckpt = tmp_path_factory.mktemp("bench-ckpt")
-    configs = {
-        kind: training.TrainConfig(
-            model=kind,
-            epochs=30,
-            batch_size=32,
-            lr=BENCH_LR,
-            seed=BENCH_TRAIN_SEED,
-            split=training.by_point(20, 30),
-            loss="strict",
-            checkpoint_dir=ckpt / kind,
-        )
-        for kind in ("cnn", "lstm")
-    }
-    # The two trainings are independent: one worker process each, with BLAS
-    # pinned to one thread so that the workers do not contend for cores.
-    # Spawned workers read the thread count from the environment at import.
-    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
-        max_workers=2, mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
-        futures = {kind: pool.submit(training.train, dataset, cfg) for kind, cfg in configs.items()}
-        results = {kind: future.result() for kind, future in futures.items()}
-    trained = {kind: models.build_predictor(params) for kind, (params, _) in results.items()}
-    reports = {kind: report for kind, (_, report) in results.items()}
-    _, test_ds = training.split(dataset, training.TrainConfig(split=training.by_point(20, 30)))
-    return dataset, test_ds, trained, reports
 
 
 def test_criterion_1_cnn_shape_fidelity():
@@ -256,23 +209,17 @@ def test_criterion_4_sample_snapshot_reproduction():
     _pass(4, "sample snapshot reproduction")
 
 
-def test_criterion_5_generalization_benchmark(benchmark_world):
-    dataset, test_ds, trained, reports = benchmark_world
-    assert {s.point.order_index for s in test_ds.snapshots} == set(range(24, 54))
-
-    baseline = evaluation.PersistencePredictor(dataset.config)
-    base_records = evaluation.daily_rmse(baseline, test_ds, "persistence")
-    base_by_cell = {(r.point.order_index, r.date): r.rmse for r in base_records}
-    base_mean = float(np.mean([r.rmse for r in base_records]))
+def test_criterion_5_generalization_benchmark():
+    run = experiments.generalization(data_seed=42, train_seed=123, lr=0.3, epochs=30)
+    assert run.job.days == 48
+    assert {s.point.order_index for s in run.test_ds.snapshots} == set(range(24, 54))
+    n_cells = sum(r.model == "persistence" for r in run.evaluation.records)
 
     for kind in ("cnn", "lstm"):
-        records = evaluation.daily_rmse(trained[kind], test_ds, kind)
-        assert len(records) == len(base_records)
-        wins = sum(
-            1 for r in records if r.rmse < base_by_cell[(r.point.order_index, r.date)]
-        )
-        share = wins / len(records)
-        mean_rmse = float(np.mean([r.rmse for r in records]))
+        contrast = run.contrasts[kind]
+        assert contrast.cells == n_cells
+        share = contrast.wins / contrast.cells
+        mean_rmse, base_mean = contrast.mean_rmse, contrast.persistence_mean
         print(f"  [{kind}] mean daily RMSE {mean_rmse:.4f} vs persistence {base_mean:.4f} "
               f"(ratio {mean_rmse / base_mean:.3f}), cell wins {share:.1%}")
         assert share >= 0.80, f"{kind}: beats persistence on only {share:.1%} of cells"
@@ -359,54 +306,14 @@ def test_criterion_8_eligible_point_arithmetic():
     _pass(8, "eligible point arithmetic")
 
 
-def test_criterion_9_rush_hour_report(tmp_path):
-    spec = core.chain_network(14, 60.0)
-    cfg = core.SnapshotConfig(step_minutes=30)
-    profile = ingestion.SyntheticProfile(
-        base_speed_ratio=0.93,
-        dips=(
-            ingestion.RushHourDip(14, 17, 0.5, days=(1, 2, 3, 4, 5), ramp_slots=2),
-            ingestion.RushHourDip(33, 36, 0.4, days=(1, 2, 3, 4, 5), ramp_slots=2),
-        ),
-        noise_std=0.02,
-        propagation_lag_steps=1,
-    )
+def test_criterion_9_rush_hour_report():
     days = 6
-    mask = ingestion.dip_mask(profile, spec, days, cfg)
-    trend_hits = 0
-    contrasts = []
-    for seed in range(5):
-        series = ingestion.synth(profile, spec, days, seed=100 + seed, cfg=cfg)
-        dataset = ingestion.window(series, spec, cfg)
-        cfg_t = training.TrainConfig(
-            model="cnn", epochs=6, lr=0.5, seed=seed,
-            split=training.by_point(3, 3), checkpoint_dir=tmp_path / f"s{seed}",
-        )
-        params, _ = training.train(dataset, cfg_t)
-        model = models.build_predictor(params)
-        _, test_ds = training.split(dataset, cfg_t)
-
-        position = {p.order_index: k for k, p in enumerate(spec.points)}
-        slots_per_day = 48
-
-        def is_dip(i, test_ds=test_ds):
-            snap = test_ds.snapshots[i]
-            tick = int((snap.timestamp - series[0].start).total_seconds() // 1800)
-            return bool(mask[position[snap.point.order_index], tick + cfg.horizon_steps])
-
-        dip_mae, flat_mae, n_dip, n_flat = evaluation.mae_contrast(model, test_ds, is_dip)
-        assert n_dip > 0 and n_flat > 0
-        contrasts.append((dip_mae, flat_mae))
-        if dip_mae >= flat_mae:
-            trend_hits += 1
-
+    results = experiments.rush_hour(seeds=5, epochs=6, days=days, lr=0.5)
+    for r in results:
+        assert r.n_dip > 0 and r.n_flat > 0
         # the report emits the rush-hour and light-traffic slot series
-        point = next(p for p in test_ds.spec.points if p.order_index == 8)
-        rush = evaluation.slot_series(model, test_ds, point, time(7, 30))
-        light = evaluation.slot_series(model, test_ds, point, time(12, 0))
-        assert len(rush) == days and len(light) == days
-
-    for dip_mae, flat_mae in contrasts:
-        print(f"  dip MAE {dip_mae:.4f} vs flat MAE {flat_mae:.4f}")
+        assert len(r.rush) == days and len(r.light) == days
+        print(f"  dip MAE {r.dip_mae:.4f} vs flat MAE {r.flat_mae:.4f}")
+    trend_hits = sum(r.dip_mae >= r.flat_mae for r in results)
     assert trend_hits >= 3, f"dip >= flat trend held on only {trend_hits} of 5 seeds"
     _pass(9, "rush hour behavior report")

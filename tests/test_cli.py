@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a tiny synthetic world."""
 
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -120,7 +121,9 @@ def test_ingest_round_trips_synthetic_series(tmp_path, profile_path):
     job = ingestion.load_profile(profile_path)
     series = ingestion.synth(job.profile, job.spec, job.days, 5, cfg=job.cfg, start=job.start)
     raw_path = tmp_path / "raw.csv"
-    ingestion.write_raw_file(raw_path, [s.as_raw() for s in series])
+    stamps = [job.start + timedelta(minutes=job.cfg.step_minutes * i) for i in range(len(series[0]))]
+    raw = [ingestion.RawSeries(s.point, tuple(zip(stamps, s.values.tolist())), 1.0) for s in series]
+    ingestion.write_raw_file(raw_path, raw)
 
     data = tmp_path / "ingested.tfds"
     assert cli.main([

@@ -164,11 +164,21 @@ def test_persistence_predictor_repeats_center_condition():
 def test_mae_contrast_splits_groups():
     ds, _ = _dataset()
     model = StubPredictor(lambda snap: min(snap.target + 0.1, 1.0))
-    dip = {0, 1, 2}
-    dip_mae, flat_mae, n_dip, n_flat = evaluation.mae_contrast(model, ds, lambda i: i in dip)
+    mask = np.zeros(ds.windows.grid.shape, dtype=bool)
+    mask[2, 3:6] = True  # the targets of the first three snapshots: centre row 2, columns 2 to 4
+    mask[0, :] = True  # no snapshot is centred on row 0
+    mask[3, 2] = True  # the newest column, not the target, of centre row 3's first snapshot
+    dip_mae, flat_mae, n_dip, n_flat = evaluation.mae_contrast(model, ds, mask)
     assert n_dip == 3 and n_flat == ds.z - 3
-    assert dip_mae == pytest.approx(0.1, abs=1e-9) or dip_mae <= 0.1
-    assert flat_mae > 0
+    errors = np.abs(model.predict_dataset(ds) - ds.targets())
+    assert dip_mae == np.mean(errors[:3]) and flat_mae == np.mean(errors[3:])
+
+
+@pytest.mark.parametrize("shape", [(7, 23), (6, 24), (7 * 24,)])
+def test_mae_contrast_rejects_a_mask_of_another_shape(shape):
+    ds, _ = _dataset()
+    with pytest.raises(ValueError, match="shape"):
+        evaluation.mae_contrast(StubPredictor(lambda snap: 0.5), ds, np.zeros(shape, dtype=bool))
 
 
 def test_write_report_emits_documented_files(tmp_path):

@@ -175,7 +175,8 @@ def test_clean_is_idempotent_on_its_own_output():
     stamps = [START + timedelta(minutes=5 * i) for i in range(20)]
     samples = [(ts, float(v)) for ts, v in zip(stamps, rng.uniform(10, 90, size=20)) if ts.minute != 30]
     first = ingestion.clean(_raw(P0, samples, limit=100.0), cfg)
-    second = ingestion.clean(first.as_raw(), cfg)
+    # the cleaned conditions as raw speeds against a unit speed limit
+    second = ingestion.clean(_raw(P0, zip(stamps, first.values.tolist()), limit=1.0), cfg)
     np.testing.assert_array_equal(first.values, second.values)
     assert first.start == second.start
 
