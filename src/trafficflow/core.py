@@ -13,7 +13,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from typing import Sequence
 
@@ -26,6 +26,7 @@ __all__ = [
     "SnapshotConfig",
     "PointSnapshot",
     "check_condition",
+    "check_field_types",
     "chain_network",
     "neighbor_rows",
     "eligible_points",
@@ -42,6 +43,24 @@ def check_condition(value: float) -> float:
     if not 0.0 <= value <= 1.0 or not np.isfinite(value):
         raise ValueError(f"traffic condition {value!r} outside [0, 1]")
     return value
+
+
+_FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating), "str": (str,)}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first dataclass field annotated "int",
+    "float" or "str" (string annotations) that holds another type; a bool is
+    none of them.  Numpy scalars are stored as Python ones."""
+    for f in fields(obj):
+        accepted = _FIELD_TYPES.get(f.type)
+        if accepted is None:
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, accepted):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be of type {f.type}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +87,7 @@ class SnapshotConfig:
     horizon_steps: int = 1
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
         if self.n_in < 0 or self.m_out < 0:

@@ -4,6 +4,9 @@ The evaluation metric is plain RMSE per (point, calendar day), independent
 of which loss trained the model.  Quartiles use linear interpolation (the
 numpy/"type 7" convention), fixed here and noted in the emitted files.
 Reports are plot-ready delimited text; nothing here renders images.
+
+Every figure reads ``preds``, one prediction per snapshot in dataset order;
+a column of any shape but ``(dataset.z,)`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from datetime import date as date_type
 from datetime import datetime
 from datetime import time as time_type
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,7 +71,8 @@ class EvalReport:
 
     records: list[DailyRmseRecord]
     summaries: list[BoxplotSummary]
-    series: dict[str, list[tuple]] = field(default_factory=dict)
+    curves: dict[str, list[tuple]]  # model -> day_curve rows
+    slots: dict[str, dict[str, list[tuple]]]  # "HH:MM" -> model -> slot_series rows
     notes: dict = field(default_factory=dict)
 
 
@@ -91,14 +95,17 @@ class PersistencePredictor:
         return w.grid[w.centre, w.column]
 
 
-def daily_rmse(predictor, dataset: Dataset, model_name: str | None = None) -> list[DailyRmseRecord]:
+def _column(preds, dataset: Dataset) -> np.ndarray:
+    """``preds`` as an array, if it holds one prediction per snapshot."""
+    preds = np.asarray(preds)
+    if preds.shape != (dataset.z,):
+        raise ValueError(f"predictions of shape {preds.shape}, expected ({dataset.z},)")
+    return preds
+
+
+def daily_rmse(preds: np.ndarray, dataset: Dataset, name: str) -> list[DailyRmseRecord]:
     """One RMSE record per (point, calendar day) present in the dataset."""
-    name = model_name or getattr(predictor, "kind", "model")
-    return _daily_records(predictor.predict_dataset(dataset), dataset, name)
-
-
-def _daily_records(preds: np.ndarray, dataset: Dataset, name: str) -> list[DailyRmseRecord]:
-    sq_err = (preds - dataset.targets()) ** 2
+    sq_err = (_column(preds, dataset) - dataset.targets()) ** 2
     orders, days = dataset.point_order(), dataset.times().astype("datetime64[D]")
 
     # cells in (point, day) order, each cell's errors ascending: summing in
@@ -146,9 +153,10 @@ def boxplot_summary(records: Sequence[DailyRmseRecord]) -> list[BoxplotSummary]:
     return out
 
 
-def _point_rows(preds: np.ndarray, dataset: Dataset, point: PointId, keep) -> list[tuple[datetime, float, float]]:
+def _point_rows(preds, dataset: Dataset, point: PointId, keep) -> list[tuple[datetime, float, float]]:
     """(timestamp, predicted, actual) of the point's snapshots whose
     timestamps pass ``keep`` (datetime64 array to mask), chronological."""
+    preds = _column(preds, dataset)
     rows = np.flatnonzero(dataset.point_order() == point.order_index)
     if not rows.size:
         raise UnknownPointError(f"point {point.id!r} has no snapshots in this dataset")
@@ -160,31 +168,23 @@ def _point_rows(preds: np.ndarray, dataset: Dataset, point: PointId, keep) -> li
 
 
 def slot_series(
-    predictor, dataset: Dataset, point: PointId, slot: time_type
+    preds: np.ndarray, dataset: Dataset, point: PointId, slot: time_type
 ) -> list[tuple[date_type, float, float]]:
     """(date, predicted, actual) at one fixed time of day, chronological."""
-    return _slot_rows(predictor.predict_dataset(dataset), dataset, point, slot)
-
-
-def _slot_rows(preds: np.ndarray, dataset: Dataset, point: PointId, slot: time_type):
     offset = np.timedelta64(datetime.combine(date_type.min, slot) - datetime.min)
     rows = _point_rows(preds, dataset, point, lambda t: t - t.astype("datetime64[D]") == offset)
     return [(ts.date(), pred, actual) for ts, pred, actual in rows]
 
 
 def day_curve(
-    predictor, dataset: Dataset, point: PointId, day: date_type
+    preds: np.ndarray, dataset: Dataset, point: PointId, day: date_type
 ) -> list[tuple[time_type, float, float]]:
     """(time, predicted, actual) across one calendar day for one point."""
-    return _curve_rows(predictor.predict_dataset(dataset), dataset, point, day)
-
-
-def _curve_rows(preds: np.ndarray, dataset: Dataset, point: PointId, day: date_type):
     rows = _point_rows(preds, dataset, point, lambda t: t.astype("datetime64[D]") == np.datetime64(day))
     return [(ts.time(), pred, actual) for ts, pred, actual in rows]
 
 
-def mae_contrast(predictor, dataset: Dataset, dip_mask: np.ndarray) -> tuple[float, float, int, int]:
+def mae_contrast(preds: np.ndarray, dataset: Dataset, dip_mask: np.ndarray) -> tuple[float, float, int, int]:
     """Mean absolute error split into dip vs flat snapshots.
 
     ``dip_mask`` is a boolean (P, T) mask over the dataset's condition grid;
@@ -196,7 +196,7 @@ def mae_contrast(predictor, dataset: Dataset, dip_mask: np.ndarray) -> tuple[flo
     if np.shape(dip_mask) != w.grid.shape:
         raise ValueError(f"dip mask shape {np.shape(dip_mask)} is not the grid's {w.grid.shape}")
     mask = np.asarray(dip_mask, dtype=bool)[w.centre, w.column + dataset.config.horizon_steps]
-    abs_err = np.abs(predictor.predict_dataset(dataset) - dataset.targets())
+    abs_err = np.abs(_column(preds, dataset) - dataset.targets())
     dip = abs_err[mask]
     flat = abs_err[~mask]
     dip_mae = float(np.mean(dip)) if dip.size else float("nan")
@@ -228,21 +228,19 @@ def evaluate_models(
     curve_day = curve_day or dataset.times().min().item().date()
 
     records: list[DailyRmseRecord] = []
-    series: dict[str, list[tuple]] = {}
+    curves: dict[str, list[tuple]] = {}
+    slot_rows: dict[str, dict[str, list[tuple]]] = {}
     for name, predictor in predictors.items():
         preds = predictor.predict_dataset(dataset)
-        records.extend(_daily_records(preds, dataset, name))
-        series[f"day_curve/{name}"] = [
-            (t.isoformat(), pred, actual) for t, pred, actual in _curve_rows(preds, dataset, point, curve_day)
-        ]
+        records.extend(daily_rmse(preds, dataset, name))
+        curves[name] = day_curve(preds, dataset, point, curve_day)
         for slot in slots:
-            series[f"slot_{slot.strftime('%H:%M')}/{name}"] = [
-                (d.isoformat(), pred, actual) for d, pred, actual in _slot_rows(preds, dataset, point, slot)
-            ]
+            slot_rows.setdefault(slot.strftime("%H:%M"), {})[name] = slot_series(preds, dataset, point, slot)
     return EvalReport(
         records=records,
         summaries=boxplot_summary(records),
-        series=series,
+        curves=curves,
+        slots=slot_rows,
         notes={
             "point": point.id,
             "point_order": point.order_index,
@@ -252,76 +250,53 @@ def evaluate_models(
     )
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list], comment: str = "") -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(comment)
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _series_rows(by_model: dict[str, list[tuple]], *lead) -> Iterable[list]:
+    """CSV rows of a series per model, models in sorted order."""
+    return (
+        [*lead, key.isoformat(), model, repr(pred), repr(actual)]
+        for model in sorted(by_model)
+        for key, pred, actual in by_model[model]
+    )
+
+
 def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """Emit the report as one CSV per figure analogue; returns written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    path = out_dir / "daily_rmse.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["point_id", "order_index", "date", "model", "rmse"])
-        for rec in report.records:
-            writer.writerow(
-                [rec.point.id, rec.point.order_index, rec.date.isoformat(), rec.model, repr(rec.rmse)]
-            )
-    written.append(path)
-
-    path = out_dir / "boxplot.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# quartiles: {report.notes.get('quartile_method', 'linear')}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["point_id", "order_index", "model", "min", "q1", "median", "q3", "max", "n_days"])
-        for s in report.summaries:
-            writer.writerow(
-                [
-                    s.point.id,
-                    s.point.order_index,
-                    s.model,
-                    repr(s.minimum),
-                    repr(s.q1),
-                    repr(s.median),
-                    repr(s.q3),
-                    repr(s.maximum),
-                    s.n_days,
-                ]
-            )
-    written.append(path)
-
-    curve_names = sorted(n for n in report.series if n.startswith("day_curve/"))
-    path = out_dir / "day_curve.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["point_id", "date", "time", "model", "predicted", "actual"])
-        for name in curve_names:
-            model = name.split("/", 1)[1]
-            for t, pred, actual in report.series[name]:
-                writer.writerow(
-                    [
-                        report.notes["point"],
-                        report.notes["curve_date"],
-                        t,
-                        model,
-                        repr(pred),
-                        repr(actual),
-                    ]
-                )
-    written.append(path)
-
-    slot_labels = sorted(
-        {n.split("/", 1)[0].removeprefix("slot_") for n in report.series if n.startswith("slot_")}
-    )
-    for label in slot_labels:
-        path = out_dir / f"slot_{label}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["point_id", "date", "model", "predicted", "actual"])
-            for name in sorted(report.series):
-                if not name.startswith(f"slot_{label}/"):
-                    continue
-                model = name.split("/", 1)[1]
-                for d, pred, actual in report.series[name]:
-                    writer.writerow([report.notes["point"], d, model, repr(pred), repr(actual)])
-        written.append(path)
-    return written
+    point = report.notes["point"]
+    written = [
+        _write_csv(
+            out_dir / "daily_rmse.csv",
+            ["point_id", "order_index", "date", "model", "rmse"],
+            ([r.point.id, r.point.order_index, r.date.isoformat(), r.model, repr(r.rmse)] for r in report.records),
+        ),
+        _write_csv(
+            out_dir / "boxplot.csv",
+            ["point_id", "order_index", "model", "min", "q1", "median", "q3", "max", "n_days"],
+            (
+                [s.point.id, s.point.order_index, s.model, *map(repr, (s.minimum, s.q1, s.median, s.q3, s.maximum)),
+                 s.n_days]
+                for s in report.summaries
+            ),
+            comment=f"# quartiles: {report.notes.get('quartile_method', 'linear')}\n",
+        ),
+        _write_csv(
+            out_dir / "day_curve.csv",
+            ["point_id", "date", "time", "model", "predicted", "actual"],
+            _series_rows(report.curves, point, report.notes["curve_date"]),
+        ),
+    ]
+    return written + [
+        _write_csv(out_dir / f"slot_{label}.csv", ["point_id", "date", "model", "predicted", "actual"],
+                   _series_rows(by_model, point))
+        for label, by_model in sorted(report.slots.items())
+    ]

@@ -139,13 +139,14 @@ def rush_hour(seeds: int = 5, epochs: int = 6, days: int = 6, lr: float = 0.5) -
         train_cfg = training.TrainConfig(model="cnn", epochs=epochs, lr=lr, seed=seed, split=training.by_point(3, 3))
         model = models.build_predictor(training.train(dataset, train_cfg)[0])
         _, test_ds = training.split(dataset, train_cfg)
+        preds = model.predict_dataset(test_ds)
         out.append(
             RushHourSeed(
                 seed,
-                *evaluation.mae_contrast(model, test_ds, mask),
+                *evaluation.mae_contrast(preds, test_ds, mask),
                 point=point,
-                rush=evaluation.slot_series(model, test_ds, point, time(7, 30)),
-                light=evaluation.slot_series(model, test_ds, point, time(12, 0)),
+                rush=evaluation.slot_series(preds, test_ds, point, time(7, 30)),
+                light=evaluation.slot_series(preds, test_ds, point, time(12, 0)),
             )
         )
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -37,6 +37,7 @@ from .core import (
     PointSnapshot,
     SnapshotConfig,
     chain_network,
+    check_field_types,
 )
 from .rng import stream
 from .serialization import ContainerFormatError, atomic_write_bytes, read_container, write_container
@@ -552,6 +553,9 @@ class RushHourDip:
     ramp_slots: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        if not isinstance(self.days, Iterable):
+            raise ValueError(f"RushHourDip.days must be a list of weekdays, got {self.days!r}")
         object.__setattr__(self, "days", tuple(self.days))
         if self.end_slot < self.start_slot:
             raise ValueError("end_slot must be >= start_slot")
@@ -574,6 +578,7 @@ class SyntheticProfile:
     propagation_lag_steps: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         object.__setattr__(self, "dips", tuple(self.dips))
         if not 0.0 <= self.base_speed_ratio <= 1.0:
             raise ValueError("base_speed_ratio must be in [0, 1]")
@@ -597,32 +602,23 @@ def _dip_depths(
     cfg: SnapshotConfig,
     start: datetime,
 ) -> np.ndarray:
-    """Per-point, per-slot dip depth (overlapping dips take the max)."""
+    """Per-point, per-slot dip depth (overlapping dips take the max).  Point k's
+    row is a window, ``propagation_lag_steps * k`` slots back, into one row."""
     per_day = _slots_per_day(cfg)
     n_slots = days * per_day
-    depths = np.zeros((len(spec.points), n_slots))
-    weekday_values = [((start + timedelta(days=d)).weekday() + 1) % 7 for d in range(days)]
-    for k in range(len(spec.points)):
-        shift = profile.propagation_lag_steps * k
-        for dip in profile.dips:
-            profile_slots: list[tuple[int, float]] = []
-            for j in range(dip.ramp_slots):
-                frac = (j + 1) / (dip.ramp_slots + 1)
-                profile_slots.append((dip.start_slot - dip.ramp_slots + j, dip.depth * frac))
-            for s in range(dip.start_slot, dip.end_slot + 1):
-                profile_slots.append((s, dip.depth))
-            for j in range(dip.ramp_slots):
-                frac = (dip.ramp_slots - j) / (dip.ramp_slots + 1)
-                profile_slots.append((dip.end_slot + 1 + j, dip.depth * frac))
-            for d in range(days):
-                if weekday_values[d] not in dip.days:
-                    continue
-                base_slot = d * per_day + shift
-                for rel, depth in profile_slots:
-                    abs_slot = base_slot + rel
-                    if 0 <= abs_slot < n_slots:
-                        depths[k, abs_slot] = max(depths[k, abs_slot], depth)
-    return depths
+    shifts = profile.propagation_lag_steps * np.arange(len(spec.points))
+    reach = int(shifts[-1]) if shifts.size else 0  # row[i] is slot i - reach of the first point
+    row = np.zeros(reach + n_slots)
+    weekdays = np.array([((start + timedelta(days=d)).weekday() + 1) % 7 for d in range(days)])
+    for dip in profile.dips:
+        r = dip.ramp_slots
+        ramp = dip.depth * (np.arange(1, r + 1) / (r + 1))
+        depths = np.concatenate([ramp, np.full(dip.end_slot - dip.start_slot + 1, dip.depth), ramp[::-1]])
+        active = np.flatnonzero(np.isin(weekdays, dip.days))
+        slots = (active[:, None] * per_day + np.arange(dip.start_slot - r, dip.end_slot + r + 1) + reach).ravel()
+        keep = (slots >= 0) & (slots < row.size)
+        np.maximum.at(row, slots[keep], np.tile(depths, active.size)[keep])
+    return np.lib.stride_tricks.sliding_window_view(row, n_slots)[reach - shifts]
 
 
 def synth(
@@ -760,7 +756,7 @@ def load_profile(path: str | Path) -> SynthJob:
             start_slot=d["start_slot"],
             end_slot=d["end_slot"],
             depth=d["depth"],
-            days=tuple(d.get("days", (1, 2, 3, 4, 5))),
+            days=d.get("days", (1, 2, 3, 4, 5)),
             ramp_slots=d.get("ramp_slots", 0),
         )
         for d in doc.get("dips", ())

@@ -84,7 +84,6 @@ class ModelParams:
 
     kind: str
     arrays: dict[str, np.ndarray]
-    version: int = MODEL_FORMAT_VERSION
     seed: int | None = None
     config: dict = field(default_factory=dict)
 

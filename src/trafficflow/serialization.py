@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -73,7 +74,8 @@ def write_container(
 def read_container(
     data: bytes, magic: bytes, version: int
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse and verify a container; returns (header, arrays by name)."""
+    """Parse and verify a container; returns (header, arrays by name).
+    Raises only ContainerFormatError, ChecksumError or VersionMismatchError."""
     if not data.startswith(magic):
         raise ContainerFormatError("bad magic string")
     if len(data) < len(magic) + 12 + _DIGEST_LEN:
@@ -89,19 +91,37 @@ def read_container(
         raise VersionMismatchError(f"format version {found_version}, expected {version}")
     (header_len,) = struct.unpack_from("<Q", data, offset)
     offset += 8
-    header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+    if header_len > len(body) - offset:
+        raise ContainerFormatError(f"header length {header_len} runs past the payload")
+    try:
+        header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise ContainerFormatError(f"header is not JSON: {err}") from err
     offset += header_len
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise ContainerFormatError("header is not a JSON object with an array list")
 
     arrays: dict[str, np.ndarray] = {}
     for entry in header.pop("arrays", []):
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = dtype.itemsize * count
-        raw = body[offset : offset + nbytes]
-        if len(raw) != nbytes:
-            raise ChecksumError(f"array {entry['name']!r} truncated")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # name, shape and a numeric dtype are checked before any size is computed
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ContainerFormatError(f"array entry {entry!r} has no name")
+        name, shape, code = entry["name"], entry.get("shape"), entry.get("dtype")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ContainerFormatError(f"array {name!r}: shape {shape!r} is not a list of non-negative ints")
+        try:
+            dtype = np.dtype(code) if isinstance(code, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in "biufc":
+            raise ContainerFormatError(f"array {name!r}: dtype {code!r} is not numeric")
+        nbytes = dtype.itemsize * math.prod(shape)
+        if nbytes > len(body) - offset:
+            raise ChecksumError(f"array {name!r} truncated")
+        try:
+            arrays[name] = np.frombuffer(body, dtype, nbytes // dtype.itemsize, offset).reshape(shape).copy()
+        except ValueError as err:  # a zero-size shape numpy cannot hold
+            raise ContainerFormatError(f"array {name!r}: {err}") from err
         offset += nbytes
     if offset != len(body):
         raise ContainerFormatError("trailing bytes after declared arrays")

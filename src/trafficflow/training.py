@@ -9,13 +9,14 @@ named streams; a fixed seed reproduces losses and parameters bit-exactly.
 from __future__ import annotations
 
 import time as _time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import models, nn
+from .core import check_field_types
 from .ingestion import Dataset
 from .rng import stream
 
@@ -54,8 +55,12 @@ class SplitSpec:
             raise ValueError(f"unknown split axis {self.axis!r}")
         for name in ("train", "test"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
+            elif isinstance(value, Sequence) and not isinstance(value, str):
                 object.__setattr__(self, name, tuple(value))
+            else:
+                raise ValueError(f"SplitSpec.{name} must be a count or a list of units, got {value!r}")
 
 
 def by_point(train: int | Sequence[int] = 20, test: int | Sequence[int] = 30) -> SplitSpec:
@@ -81,6 +86,7 @@ class TrainConfig:
     checkpoint_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.model not in models.KINDS:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -89,9 +95,12 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.loss not in ("strict", "rmse"):
             raise ValueError(f"unknown loss kind {self.loss!r}")
+        if not isinstance(self.checkpoint_dir, (str, Path, type(None))):
+            raise ValueError(f"TrainConfig.checkpoint_dir must be a path, got {self.checkpoint_dir!r}")
 
-    def echo(self, split_units: tuple[list, list] | None = None) -> dict:
-        doc = {
+    def echo(self, split_units: tuple[list, list]) -> dict:
+        train_units, test_units = split_units
+        return {
             "model": self.model,
             "epochs": self.epochs,
             "batch_size": self.batch_size,
@@ -102,10 +111,9 @@ class TrainConfig:
             "split_axis": self.split.axis,
             "split_train": list(self.split.train) if not isinstance(self.split.train, int) else self.split.train,
             "split_test": list(self.split.test) if not isinstance(self.split.test, int) else self.split.test,
+            "train_units": train_units,
+            "test_units": test_units,
         }
-        if split_units is not None:
-            doc["train_units"], doc["test_units"] = split_units
-        return doc
 
 
 @dataclass
@@ -123,8 +131,9 @@ class TrainReport:
     test_size: int
     skipped_zero_loss_batches: int = 0
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        """Everything but the wall time, which alone differs between runs."""
+        return {
             "epoch_losses": self.epoch_losses,
             "final_test_rmse": self.final_test_rmse,
             "config": self.config,
@@ -135,9 +144,6 @@ class TrainReport:
             "test_size": self.test_size,
             "skipped_zero_loss_batches": self.skipped_zero_loss_batches,
         }
-        if include_wall_time:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
 
 
 def _resolve_units(available: list, requested: int | tuple, offset: int, side: str) -> list:

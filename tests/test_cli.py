@@ -165,6 +165,39 @@ def test_train_config_file_precedence(tmp_path, profile_path):
     assert report["config"]["lr"] == 0.1
 
 
+def test_checkpoint_dir_from_config_file_yields_to_the_flag(tmp_path, profile_path):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
+    cfg_file = tmp_path / "train.json"
+    cfg_file.write_text(json.dumps({"epochs": 1, "train_units": 2, "test_units": 2,
+                                    "checkpoint_dir": str(tmp_path / "from-file")}))
+    base = ["train", "--dataset", str(data), "--config-file", str(cfg_file)]
+    assert cli.main([*base, "--out", str(tmp_path / "a.tfmodel")]) == 0
+    assert [p.name for p in (tmp_path / "from-file").iterdir()] == ["epoch_000.tfmodel"]
+    assert not (tmp_path / "a-checkpoints").exists()
+    flag_dir = tmp_path / "from-flag"
+    assert cli.main([*base, "--checkpoint-dir", str(flag_dir), "--out", str(tmp_path / "b.tfmodel")]) == 0
+    assert [p.name for p in flag_dir.iterdir()] == ["epoch_000.tfmodel"]
+    assert not (tmp_path / "b-checkpoints").exists()
+
+
+@pytest.mark.parametrize("doc,argv,field", [
+    ({"epochs": "2"}, ["train", "--dataset", "{missing}", "--config-file", "{doc}"], "epochs"),
+    ({"epochs": None}, ["train", "--dataset", "{missing}", "--config-file", "{doc}"], "epochs"),
+    ({**TINY_PROFILE, "dips": [{"start_slot": 10, "end_slot": 13, "depth": "0.5"}]},
+     ["synth", "--profile", "{doc}"], "depth"),
+    ({"snapshot": {"delta": "4"}}, ["ingest", "--input", "{missing}", "--config-file", "{doc}"], "delta"),
+])
+def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, argv, field):
+    # every command checks its settings before it opens its data file
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(doc))
+    argv = [arg.format(doc=path, missing=tmp_path / "missing") for arg in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f".{field} must be of type" in err
+
+
 def test_simulate_replays_a_split_dataset(tmp_path, profile_path):
     # every dataset keeps the whole condition grid, so a split replays the
     # same series as the dataset it came from

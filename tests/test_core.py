@@ -34,10 +34,20 @@ def test_network_spec_rejects_nonpositive_speed_limit():
     {"m_out": -1},
     {"step_minutes": 0},
     {"horizon_steps": 0},
+    {"delta": "4"},
+    {"delta": True},
+    {"step_minutes": 30.0},
+    {"n_in": None},
 ])
 def test_snapshot_config_validation(kwargs):
     with pytest.raises(ValueError):
         core.SnapshotConfig(**kwargs)
+
+
+def test_integer_fields_take_numpy_integers_as_python_ints():
+    cfg = core.SnapshotConfig(delta=np.int64(3), step_minutes=np.int32(30))
+    assert (cfg.delta, cfg.step_minutes) == (3, 30)
+    assert type(cfg.delta) is int and type(cfg.step_minutes) is int
 
 
 def test_default_config_is_nine_by_five():

@@ -15,16 +15,11 @@ from conftest import make_network_series
 class StubPredictor:
     """Evaluation-side test double with a fixed prediction rule."""
 
-    kind = "stub"
-
     def __init__(self, fn):
         self._fn = fn
 
     def predict_dataset(self, dataset, chunk=PREDICT_CHUNK):
         return np.array([self._fn(s) for s in dataset.snapshots])
-
-    def predict_snapshot(self, snap):
-        return self._fn(snap)
 
 
 def _dataset(values=None, n_points=7, slots=None, seed=0):
@@ -40,7 +35,7 @@ def _dataset(values=None, n_points=7, slots=None, seed=0):
 def test_perfect_predictor_has_zero_rmse():
     ds, _ = _dataset()
     perfect = StubPredictor(lambda snap: snap.target)
-    records = evaluation.daily_rmse(perfect, ds, "perfect")
+    records = evaluation.daily_rmse(perfect.predict_dataset(ds), ds, "perfect")
     assert records and all(rec.rmse == 0.0 for rec in records)
 
 
@@ -52,13 +47,13 @@ def test_constant_half_on_alternating_targets_gives_point_one():
         values[:, t] = 0.4 if t % 2 == 0 else 0.6
     ds, _ = _dataset(values=values, n_points=n_points)
     model = StubPredictor(lambda snap: 0.5)
-    records = evaluation.daily_rmse(model, ds, "const")
+    records = evaluation.daily_rmse(model.predict_dataset(ds), ds, "const")
     assert records and all(rec.rmse == pytest.approx(0.1, abs=1e-15) for rec in records)
 
 
 def test_record_count_is_points_times_days():
     ds, _ = _dataset()
-    records = evaluation.daily_rmse(StubPredictor(lambda s: 0.5), ds)
+    records = evaluation.daily_rmse(StubPredictor(lambda s: 0.5).predict_dataset(ds), ds, "stub")
     points = {s.point.order_index for s in ds.snapshots}
     days = {s.timestamp.date() for s in ds.snapshots}
     assert len(records) == len(points) * len(days)
@@ -68,8 +63,8 @@ def test_rmse_invariant_under_snapshot_reordering():
     ds, _ = _dataset()
     shuffled = ds.subset(np.random.default_rng(3).permutation(ds.z))
     model = StubPredictor(lambda snap: float(snap.matrix[2, -1]))
-    a = evaluation.daily_rmse(model, ds, "m")
-    b = evaluation.daily_rmse(model, shuffled, "m")
+    a = evaluation.daily_rmse(model.predict_dataset(ds), ds, "m")
+    b = evaluation.daily_rmse(model.predict_dataset(shuffled), shuffled, "m")
     assert a == b
 
 
@@ -126,7 +121,7 @@ def test_slot_series_one_entry_per_day():
     ds, _ = _dataset()
     point = next(p for p in ds.spec.points if p.order_index == 3)
     model = StubPredictor(lambda snap: 0.42)
-    rows = evaluation.slot_series(model, ds, point, time(12, 0))
+    rows = evaluation.slot_series(model.predict_dataset(ds), ds, point, time(12, 0))
     days = sorted({s.timestamp.date() for s in ds.snapshots})
     assert [r[0] for r in rows] == days
     assert all(r[1] == 0.42 for r in rows)
@@ -142,14 +137,14 @@ def test_slot_series_one_entry_per_day():
 def test_slot_series_empty_for_absent_slot():
     ds, _ = _dataset()
     point = next(p for p in ds.spec.points if p.order_index == 3)
-    rows = evaluation.slot_series(StubPredictor(lambda s: 0.5), ds, point, time(13, 37))
+    rows = evaluation.slot_series(np.full(ds.z, 0.5), ds, point, time(13, 37))
     assert rows == []
 
 
 def test_slot_series_unknown_point():
     ds, _ = _dataset()
     with pytest.raises(evaluation.UnknownPointError):
-        evaluation.slot_series(StubPredictor(lambda s: 0.5), ds, core.PointId("nope", 0), time(12, 0))
+        evaluation.slot_series(np.full(ds.z, 0.5), ds, core.PointId("nope", 0), time(12, 0))
 
 
 def test_persistence_predictor_repeats_center_condition():
@@ -168,7 +163,7 @@ def test_mae_contrast_splits_groups():
     mask[2, 3:6] = True  # the targets of the first three snapshots: centre row 2, columns 2 to 4
     mask[0, :] = True  # no snapshot is centred on row 0
     mask[3, 2] = True  # the newest column, not the target, of centre row 3's first snapshot
-    dip_mae, flat_mae, n_dip, n_flat = evaluation.mae_contrast(model, ds, mask)
+    dip_mae, flat_mae, n_dip, n_flat = evaluation.mae_contrast(model.predict_dataset(ds), ds, mask)
     assert n_dip == 3 and n_flat == ds.z - 3
     errors = np.abs(model.predict_dataset(ds) - ds.targets())
     assert dip_mae == np.mean(errors[:3]) and flat_mae == np.mean(errors[3:])
@@ -178,7 +173,21 @@ def test_mae_contrast_splits_groups():
 def test_mae_contrast_rejects_a_mask_of_another_shape(shape):
     ds, _ = _dataset()
     with pytest.raises(ValueError, match="shape"):
-        evaluation.mae_contrast(StubPredictor(lambda snap: 0.5), ds, np.zeros(shape, dtype=bool))
+        evaluation.mae_contrast(np.full(ds.z, 0.5), ds, np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("figure", [
+    lambda preds, ds: evaluation.daily_rmse(preds, ds, "m"),
+    lambda preds, ds: evaluation.day_curve(preds, ds, ds.spec.points[3], date(2024, 1, 1)),
+    lambda preds, ds: evaluation.slot_series(preds, ds, ds.spec.points[3], time(12, 0)),
+    lambda preds, ds: evaluation.mae_contrast(preds, ds, np.zeros(ds.windows.grid.shape, dtype=bool)),
+])
+@pytest.mark.parametrize("shape_of", [lambda z: (1,), lambda z: (z - 1,), lambda z: (z, 1), lambda z: ()])
+def test_figures_reject_a_prediction_column_of_another_shape(figure, shape_of):
+    # a length-1 column would broadcast against the targets without the check
+    ds, _ = _dataset()
+    with pytest.raises(ValueError, match="predictions of shape"):
+        figure(np.full(shape_of(ds.z), 0.5), ds)
 
 
 def test_write_report_emits_documented_files(tmp_path):
@@ -191,15 +200,16 @@ def test_write_report_emits_documented_files(tmp_path):
     # one prediction per model gives exactly what the public per-figure functions give
     point = next(p for p in ds.spec.points if p.id == report.notes["point"])
     curve_day = date.fromisoformat(report.notes["curve_date"])
+    preds = {name: model.predict_dataset(ds) for name, model in models_map.items()}
     assert report.records == [
-        rec for name, model in models_map.items() for rec in evaluation.daily_rmse(model, ds, name)
+        rec for name, column in preds.items() for rec in evaluation.daily_rmse(column, ds, name)
     ]
-    for name, model in models_map.items():
-        curve = evaluation.day_curve(model, ds, point, curve_day)
-        slot = evaluation.slot_series(model, ds, point, time(12, 0))
+    for name, column in preds.items():
+        curve = evaluation.day_curve(column, ds, point, curve_day)
+        slot = evaluation.slot_series(column, ds, point, time(12, 0))
         assert curve and slot
-        assert report.series[f"day_curve/{name}"] == [(t.isoformat(), p, a) for t, p, a in curve]
-        assert report.series[f"slot_12:00/{name}"] == [(d.isoformat(), p, a) for d, p, a in slot]
+        assert report.curves[name] == curve
+        assert report.slots["12:00"][name] == slot
     written = evaluation.write_report(report, tmp_path)
     names = {p.name for p in written}
     assert names == {"daily_rmse.csv", "boxplot.csv", "day_curve.csv", "slot_12:00.csv"}

@@ -401,6 +401,73 @@ def test_dip_mask_matches_dip_slots():
     assert set(np.flatnonzero(mask[1])) == {10, 11, 12, 13}
 
 
+def _dip_depths_loop(profile, spec, days, cfg, start):
+    """Reference: every point, dip, day and profile slot in turn."""
+    per_day = 24 * 60 // cfg.step_minutes
+    n_slots = days * per_day
+    depths = np.zeros((len(spec.points), n_slots))
+    weekday_values = [((start + timedelta(days=d)).weekday() + 1) % 7 for d in range(days)]
+    for k in range(len(spec.points)):
+        shift = profile.propagation_lag_steps * k
+        for dip in profile.dips:
+            profile_slots = []
+            for j in range(dip.ramp_slots):
+                frac = (j + 1) / (dip.ramp_slots + 1)
+                profile_slots.append((dip.start_slot - dip.ramp_slots + j, dip.depth * frac))
+            for s in range(dip.start_slot, dip.end_slot + 1):
+                profile_slots.append((s, dip.depth))
+            for j in range(dip.ramp_slots):
+                frac = (dip.ramp_slots - j) / (dip.ramp_slots + 1)
+                profile_slots.append((dip.end_slot + 1 + j, dip.depth * frac))
+            for d in range(days):
+                if weekday_values[d] not in dip.days:
+                    continue
+                base_slot = d * per_day + shift
+                for rel, depth in profile_slots:
+                    abs_slot = base_slot + rel
+                    if 0 <= abs_slot < n_slots:
+                        depths[k, abs_slot] = max(depths[k, abs_slot], depth)
+    return depths
+
+
+_dips = st.builds(
+    lambda start, length, depth, days, ramp: ingestion.RushHourDip(start, start + length, depth, tuple(days), ramp),
+    st.integers(-30, 60), st.integers(0, 12), st.floats(0.01, 1.0), st.sets(st.integers(0, 6)), st.integers(0, 5),
+)
+
+
+@given(
+    dips=st.lists(_dips, max_size=3),
+    points=st.integers(0, 6),
+    lag=st.integers(0, 6),
+    step=st.sampled_from([30, 60, 240, 1440]),
+    days=st.integers(1, 9),
+    first_day=st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_dip_depths_match_the_per_slot_loop(dips, points, lag, step, days, first_day):
+    profile = ingestion.SyntheticProfile(0.9, tuple(dips), 0.0, lag)
+    spec = core.chain_network(points, 60.0, n_in=0, m_out=0)
+    cfg = core.SnapshotConfig(step_minutes=step)
+    start = datetime(2024, 1, 1) + timedelta(days=first_day)
+    got = ingestion._dip_depths(profile, spec, days, cfg, start)
+    want = _dip_depths_loop(profile, spec, days, cfg, start)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ingestion.RushHourDip(10, 12, "0.5"),
+    lambda: ingestion.RushHourDip("10", 12, 0.5),
+    lambda: ingestion.RushHourDip(10, 12, 0.5, days=5),
+    lambda: ingestion.RushHourDip(10, 12, 0.5, ramp_slots=True),
+    lambda: ingestion.SyntheticProfile(base_speed_ratio="0.9"),
+    lambda: ingestion.SyntheticProfile(propagation_lag_steps=1.0),
+])
+def test_profile_values_of_another_type_are_value_errors(build):
+    with pytest.raises(ValueError, match="must be"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # dataset round trip
 

@@ -1,0 +1,106 @@
+"""The container reader on checksummed input whose header is malformed."""
+
+import hashlib
+import json
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trafficflow import ingestion, models
+from trafficflow.serialization import (
+    ChecksumError,
+    ContainerFormatError,
+    VersionMismatchError,
+    read_container,
+)
+
+DOCUMENTED = (ContainerFormatError, ChecksumError, VersionMismatchError)
+VERSIONS = {models.MODEL_MAGIC: models.MODEL_FORMAT_VERSION, ingestion.DATASET_MAGIC: ingestion.DATASET_FORMAT_VERSION}
+
+
+def _sealed(magic: bytes, version: int, header: bytes, payload: bytes = b"", header_len: int | None = None) -> bytes:
+    """A container with a valid checksum around whatever header bytes."""
+    body = magic + struct.pack("<IQ", version, len(header) if header_len is None else header_len) + header + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def _with_arrays(*entries) -> bytes:
+    return json.dumps({"arrays": list(entries)}).encode()
+
+
+@pytest.mark.parametrize("header,header_len,message", [
+    (b"[1, 2]", None, "not a JSON object"),
+    (b"not json", None, "not JSON"),
+    (b"\xff\xfe{}", None, "not JSON"),
+    (b"{}", 10_000, "header length"),
+    (json.dumps({"arrays": None}).encode(), None, "array list"),
+    (_with_arrays({"name": ["a"], "dtype": "<f8", "shape": [1]}), None, "has no name"),
+    (_with_arrays({"name": "a", "dtype": "zz", "shape": [1]}), None, "dtype"),
+    (_with_arrays({"name": "a", "dtype": "|O", "shape": [1]}), None, "dtype"),
+    (_with_arrays({"name": "a", "dtype": "V0", "shape": [1]}), None, "dtype"),
+    (_with_arrays({"name": "a", "dtype": None, "shape": [1]}), None, "dtype"),
+    (_with_arrays({"name": "a", "dtype": "<f8"}), None, "shape"),
+    (_with_arrays({"name": "a", "dtype": "<f8", "shape": "ab"}), None, "shape"),
+    (_with_arrays({"name": "a", "dtype": "<f8", "shape": [-1]}), None, "shape"),
+    (_with_arrays({"name": "a", "dtype": "<f8", "shape": [True]}), None, "shape"),
+    (_with_arrays({"name": "a", "dtype": "<f8", "shape": [0, 2**70]}), None, "dimension"),
+    (_with_arrays({"name": "a", "dtype": "<f8", "shape": [0] * 70}), None, "dimension"),
+])
+def test_malformed_header_is_a_format_error(header, header_len, message):
+    blob = _sealed(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, header, b"\0" * 8, header_len)
+    with pytest.raises(ContainerFormatError, match=message):
+        read_container(blob, models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION)
+
+
+def test_claimed_shape_past_the_payload_is_truncation():
+    header = _with_arrays({"name": "a", "dtype": "<f8", "shape": [2**40, 2**40]})
+    blob = _sealed(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, header, b"\0" * 8)
+    with pytest.raises(ChecksumError, match="truncated"):
+        read_container(blob, models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_entries = st.tuples(
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["a", "b"]) | _json,
+        "dtype": st.sampled_from(["<f8", "|u1", "|b1", "<c16", "zz", "|O", "V0", "<U3", "<M8[D]", "<f8,<i4"])
+        | st.text(max_size=6)
+        | _json,
+        "shape": st.lists(st.integers(0, 4), max_size=3)
+        | st.lists(st.integers(-(2**70), 2**70), max_size=4)
+        | _json,
+    }),
+    st.sampled_from([None, None, None, "name", "dtype", "shape"]),
+).map(lambda drawn: {key: value for key, value in drawn[0].items() if key != drawn[1]})
+_headers = (
+    st.fixed_dictionaries({"kind": _json, "arrays": st.lists(_entries, min_size=1, max_size=3) | _json}).map(
+        lambda h: json.dumps(h).encode()
+    )
+    | _json.map(lambda h: json.dumps(h).encode())
+    | st.binary(max_size=24)
+)
+
+
+@given(
+    magic=st.sampled_from(sorted(VERSIONS)),
+    header=_headers,
+    payload=st.binary(max_size=40),
+    header_len=st.sampled_from([None, None, None]) | st.integers(0, 2**64 - 1),
+    version_shift=st.sampled_from([0, 0, 0, 1]),
+)
+@settings(max_examples=400, deadline=None)
+def test_checksummed_mutations_raise_only_documented_errors(magic, header, payload, header_len, version_shift):
+    blob = _sealed(magic, VERSIONS[magic] + version_shift, header, payload, header_len)
+    try:
+        parsed, arrays = read_container(blob, magic, VERSIONS[magic])
+    except DOCUMENTED:
+        return
+    assert isinstance(parsed, dict) and "arrays" not in parsed
+    assert sum(a.nbytes for a in arrays.values()) <= len(payload)
+

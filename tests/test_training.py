@@ -210,3 +210,9 @@ def test_train_config_validation():
         training.TrainConfig(loss="huber")
     with pytest.raises(ValueError):
         training.SplitSpec(axis="rows")
+    for bad in ({"epochs": "2"}, {"epochs": None}, {"batch_size": True}, {"lr": "0.1"}, {"seed": 1.0},
+                {"model": ["cnn"]}, {"context_mode": 0}, {"checkpoint_dir": 5}):
+        with pytest.raises(ValueError, match="must be"):
+            training.TrainConfig(**bad)
+    with pytest.raises(ValueError, match="must be"):
+        training.by_point(None)
