@@ -18,7 +18,7 @@ from datetime import time as time_type
 from pathlib import Path
 
 from . import __version__, evaluation, ingestion, models, simulation, training
-from .core import SnapshotConfig
+from .core import SnapshotConfig, from_json, json_object
 from .nn import NonFiniteGradientError
 from .serialization import atomic_write_text
 
@@ -43,7 +43,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}")
 
 
 # train settings a flag or the config file may give; other config-file keys are ignored
@@ -56,8 +56,8 @@ _SPLITS = {"point": training.by_point, "time": training.by_time}
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config_file)
-    overrides = {**file_cfg.get("snapshot", {}), **_parse_overrides(args.config)}
-    cfg = SnapshotConfig(**overrides)
+    overrides = {**json_object(file_cfg.get("snapshot", {}), "snapshot"), **_parse_overrides(args.config)}
+    cfg = from_json(SnapshotConfig, overrides, "snapshot")
     spec, raw_series = ingestion.read_detector_file(args.input, n_in=cfg.n_in, m_out=cfg.m_out)
     if not raw_series:
         print("error: input file contains no data rows", file=sys.stderr)
@@ -115,10 +115,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = ingestion.load_dataset(args.dataset)
     params, report = training.train(dataset, cfg)
     models.save_file(params, args.out)
-    atomic_write_text(
-        Path(str(args.out) + ".report.json"),
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    _echo(Path(str(args.out) + ".report.json"), report.to_dict())
     atomic_write_text(
         Path(str(args.out) + ".meta.json"),
         json.dumps({"wall_time_s": report.wall_time_s}, sort_keys=True) + "\n",

@@ -13,7 +13,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
 from typing import Sequence
 
@@ -27,6 +27,8 @@ __all__ = [
     "PointSnapshot",
     "check_condition",
     "check_field_types",
+    "json_object",
+    "from_json",
     "chain_network",
     "neighbor_rows",
     "eligible_points",
@@ -61,6 +63,28 @@ def check_field_types(obj) -> None:
             raise ValueError(f"{type(obj).__name__}.{f.name} must be of type {f.type}, got {value!r}")
         if isinstance(value, np.generic):
             object.__setattr__(obj, f.name, value.item())
+
+
+def json_object(doc, name: str) -> dict:
+    """``doc`` itself if it is a JSON object; ValueError naming ``name`` if not."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object, got {doc!r}")
+    return doc
+
+
+def from_json(cls, doc, name: str):
+    """The dataclass ``cls`` built from the JSON object ``doc``; the fields it
+    leaves out keep their defaults.  Raises ValueError naming ``name`` and the
+    field for anything but an object, an unknown key or a missing required
+    field, and whatever ``cls`` raises for a bad value."""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(json_object(doc, name)) - set(known))
+    if unknown:
+        raise ValueError(f"{name} has no field {unknown[0]!r}")
+    for key, f in known.items():
+        if key not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{name} lacks the required field {key!r}")
+    return cls(**doc)
 
 
 @dataclass(frozen=True, order=True)
@@ -221,11 +245,3 @@ class PointSnapshot:
         if not _on_grid(self.time_value, 47):
             raise ValueError(f"time_value {self.time_value!r} not on the k/47 grid")
         check_condition(self.target)
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]

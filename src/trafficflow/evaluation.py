@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import PointId, SnapshotConfig
 from .ingestion import Dataset
-from .models import PREDICT_CHUNK
 
 __all__ = [
     "UnknownPointError",
@@ -90,7 +89,7 @@ class PersistencePredictor:
     def predict_snapshot(self, snap) -> float:
         return self.predict(snap.matrix)
 
-    def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
+    def predict_dataset(self, dataset: Dataset) -> np.ndarray:
         w = dataset.windows
         return w.grid[w.centre, w.column]
 

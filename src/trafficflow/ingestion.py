@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -38,6 +38,8 @@ from .core import (
     SnapshotConfig,
     chain_network,
     check_field_types,
+    from_json,
+    json_object,
 )
 from .rng import stream
 from .serialization import ContainerFormatError, atomic_write_bytes, read_container, write_container
@@ -56,7 +58,6 @@ __all__ = [
     "RushHourDip",
     "SyntheticProfile",
     "SynthJob",
-    "parse_raw",
     "read_detector_file",
     "write_raw_file",
     "clean",
@@ -227,22 +228,15 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
     return entries, series
 
 
-def parse_raw(source: str | Path | TextIO) -> list[RawSeries]:
-    """Parse a detector-speed file into one sorted RawSeries per detector.
+def read_detector_file(
+    source: str | Path | TextIO, n_in: int = 4, m_out: int = 4
+) -> tuple[NetworkSpec, list[RawSeries]]:
+    """Parse a detector file into its NetworkSpec, built from the manifest,
+    and one sorted RawSeries per detector.
 
     Detectors declared in the manifest but carrying no data rows yield no
     series.  Raises FormatError / UnknownDetectorError with line numbers.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return _parse_stream(handle)[1]
-    return _parse_stream(source)[1]
-
-
-def read_detector_file(
-    source: str | Path | TextIO, n_in: int = 4, m_out: int = 4
-) -> tuple[NetworkSpec, list[RawSeries]]:
-    """Parse a detector file and build the NetworkSpec from its manifest."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             entries, series = _parse_stream(handle)
@@ -670,13 +664,7 @@ def dataset_to_bytes(dataset: Dataset) -> bytes:
     cfg, w = dataset.config, dataset.windows
     header = {
         "kind": "dataset",
-        "config": {
-            "delta": cfg.delta,
-            "n_in": cfg.n_in,
-            "m_out": cfg.m_out,
-            "step_minutes": cfg.step_minutes,
-            "horizon_steps": cfg.horizon_steps,
-        },
+        "config": asdict(cfg),
         "network": {
             "points": [
                 [p.id, p.order_index, limit]
@@ -694,18 +682,25 @@ def dataset_to_bytes(dataset: Dataset) -> bytes:
 def dataset_from_bytes(data: bytes) -> Dataset:
     """Parse and verify dataset-file bytes.  Raises ContainerFormatError,
     ChecksumError or VersionMismatchError for a damaged, foreign or version 1
-    file, and ValueError when the grid or index arrays break a Dataset check."""
+    file or a header without a snapshot config object and a start string, and
+    ValueError when the grid or index arrays break a Dataset check."""
     header, arrays = read_container(data, DATASET_MAGIC, DATASET_FORMAT_VERSION)
     missing = {"grid", "centre", "column"} - set(arrays)
     if missing:
         raise ContainerFormatError(f"dataset file lacks arrays {sorted(missing)}")
-    cfg = SnapshotConfig(**header["config"])
+    try:
+        cfg = from_json(SnapshotConfig, header.get("config"), "dataset header config")
+    except ValueError as err:
+        raise ContainerFormatError(str(err)) from None
+    start = header.get("start")
+    if not isinstance(start, str):
+        raise ContainerFormatError(f"dataset header start is not a string: {start!r}")
     net = header["network"]
     points = tuple(PointId(pid, order) for pid, order, _ in net["points"])
     limits = tuple(limit for _, _, limit in net["points"])
     spec = NetworkSpec(points=points, speed_limits=limits, n_in=net["n_in"], m_out=net["m_out"])
-    start = datetime.fromisoformat(header["start"])
-    return Dataset(Windows(arrays["grid"], start, arrays["centre"], arrays["column"]), cfg, spec)
+    windows = Windows(arrays["grid"], datetime.fromisoformat(start), arrays["centre"], arrays["column"])
+    return Dataset(windows, cfg, spec)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -730,6 +725,13 @@ class SynthJob:
     days: int
     start: datetime
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+
+
+# profile keys that describe the run; every other key is a SyntheticProfile field
+_JOB_KEYS = ("snapshot", "network", "days", "start")
+
 
 def load_profile(path: str | Path) -> SynthJob:
     """Read a JSON synthesis profile.
@@ -738,10 +740,11 @@ def load_profile(path: str | Path) -> SynthJob:
     ``{"points": N, "speed_limit": v}`` or an explicit point list), ``days``,
     ``start`` (ISO timestamp), and the SyntheticProfile fields
     (``base_speed_ratio``, ``noise_std``, ``propagation_lag_steps``,
-    ``dips``).
+    ``dips``), whose defaults are the dataclasses' own.  Raises ValueError
+    naming the field for a value of another type or an unknown key.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    cfg = SnapshotConfig(**doc.get("snapshot", {}))
+    doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
+    cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
     net = doc["network"]
     if "points" in net and isinstance(net["points"], int):
         spec = chain_network(
@@ -751,26 +754,15 @@ def load_profile(path: str | Path) -> SynthJob:
         points = tuple(PointId(p["id"], p["order_index"]) for p in net["points"])
         limits = tuple(p["speed_limit"] for p in net["points"])
         spec = NetworkSpec(points=points, speed_limits=limits, n_in=cfg.n_in, m_out=cfg.m_out)
-    dips = tuple(
-        RushHourDip(
-            start_slot=d["start_slot"],
-            end_slot=d["end_slot"],
-            depth=d["depth"],
-            days=d.get("days", (1, 2, 3, 4, 5)),
-            ramp_slots=d.get("ramp_slots", 0),
-        )
-        for d in doc.get("dips", ())
-    )
-    profile = SyntheticProfile(
-        base_speed_ratio=doc.get("base_speed_ratio", 0.95),
-        dips=dips,
-        noise_std=doc.get("noise_std", 0.0),
-        propagation_lag_steps=doc.get("propagation_lag_steps", 0),
-    )
+    profile = {key: value for key, value in doc.items() if key not in _JOB_KEYS}
+    if "dips" in profile:
+        if not isinstance(profile["dips"], list):
+            raise ValueError(f"dips must be a list of objects, got {profile['dips']!r}")
+        profile["dips"] = [from_json(RushHourDip, d, f"dips[{i}]") for i, d in enumerate(profile["dips"])]
     return SynthJob(
-        profile=profile,
+        profile=from_json(SyntheticProfile, profile, "profile"),
         spec=spec,
         cfg=cfg,
-        days=int(doc["days"]),
+        days=doc["days"],
         start=datetime.fromisoformat(doc.get("start", "2024-01-01T00:00:00")),
     )

@@ -27,19 +27,10 @@ from .core import PointSnapshot
 from .ingestion import Dataset
 from .nn import ShapeMismatchError
 from .rng import stream
-from .serialization import (
-    ChecksumError,
-    ContainerFormatError,
-    VersionMismatchError,
-    atomic_write_bytes,
-    read_container,
-    write_container,
-)
+from .serialization import ContainerFormatError, atomic_write_bytes, read_container, write_container
 
 __all__ = [
     "ManifestMismatchError",
-    "VersionMismatchError",
-    "ChecksumError",
     "ModelParams",
     "CnnPredictor",
     "LstmPredictor",
@@ -131,14 +122,6 @@ def _stack(matrices: np.ndarray) -> np.ndarray:
     if x.ndim != 3 or x.shape[1:] != (SNAP_ROWS, SNAP_COLS):
         raise ShapeMismatchError(f"expected (B, {SNAP_ROWS}, {SNAP_COLS}), got {x.shape}")
     return x
-
-
-def _one(matrix: np.ndarray) -> np.ndarray:
-    """A single snapshot as a batch of one."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (SNAP_ROWS, SNAP_COLS):
-        raise ShapeMismatchError(f"expected ({SNAP_ROWS}, {SNAP_COLS}) snapshot, got {matrix.shape}")
-    return matrix[None]
 
 
 class _Predictor:
@@ -270,7 +253,7 @@ class CnnPredictor(_Predictor):
 
     def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
         """Single-snapshot prediction (the path decentralized nodes use)."""
-        preds, _ = self.forward_batch(_one(matrix), np.array([day_value]), np.array([time_value]))
+        preds, _ = self.forward_batch(np.asarray(matrix)[None], np.array([day_value]), np.array([time_value]))
         return float(preds[0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
@@ -322,7 +305,7 @@ class LstmPredictor(_Predictor):
         }
 
     def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
-        preds, _ = self.forward_batch(_one(matrix))
+        preds, _ = self.forward_batch(np.asarray(matrix)[None])
         return float(preds[0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
@@ -361,17 +344,15 @@ def save(params: ModelParams) -> bytes:
 
 
 def load(data: bytes) -> ModelParams:
-    """Parse and verify model-file bytes (magic, version, checksum, kind)."""
+    """Parse and verify model-file bytes (magic, version, checksum, kind and a
+    config object)."""
     header, arrays = read_container(data, MODEL_MAGIC, MODEL_FORMAT_VERSION)
-    kind = header.get("kind")
+    kind, config = header.get("kind"), header.get("config", {})
     if kind not in KINDS:
         raise ManifestMismatchError(f"unknown model kind {kind!r}")
-    return ModelParams(
-        kind=kind,
-        arrays=arrays,
-        seed=header.get("seed"),
-        config=header.get("config", {}),
-    )
+    if not isinstance(config, dict):
+        raise ContainerFormatError(f"model header config is not a JSON object: {config!r}")
+    return ModelParams(kind=kind, arrays=arrays, seed=header.get("seed"), config=config)
 
 
 def save_file(params: ModelParams, path: str | Path) -> None:

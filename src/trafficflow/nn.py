@@ -13,7 +13,7 @@ the test suite.
 
 Supported pieces: valid 2-D convolution (stride 1, no padding), fully
 connected layers, a 4-gate LSTM cell with backprop through time, relu /
-sigmoid / tanh / linear activations, the congestion-weighted Euclidean
+sigmoid / linear activations, the congestion-weighted Euclidean
 training loss, and plain SGD.
 """
 
@@ -85,8 +85,6 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
         return sigmoid(z)
-    if kind == "tanh":
-        return np.tanh(z)
     if kind == "linear":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -97,8 +95,6 @@ def _activate_backward(grad_out: np.ndarray, kind: str, z: np.ndarray, out: np.n
         return np.where(z > 0.0, grad_out, 0.0)
     if kind == "sigmoid":
         return grad_out * out * (1.0 - out)
-    if kind == "tanh":
-        return grad_out * (1.0 - out * out)
     if kind == "linear":
         return grad_out
     raise ValueError(f"unknown activation {kind!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time as _time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -99,21 +99,14 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.checkpoint_dir must be a path, got {self.checkpoint_dir!r}")
 
     def echo(self, split_units: tuple[list, list]) -> dict:
-        train_units, test_units = split_units
-        return {
-            "model": self.model,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "seed": self.seed,
-            "loss": self.loss,
-            "context_mode": self.context_mode,
-            "split_axis": self.split.axis,
-            "split_train": list(self.split.train) if not isinstance(self.split.train, int) else self.split.train,
-            "split_test": list(self.split.test) if not isinstance(self.split.test, int) else self.split.test,
-            "train_units": train_units,
-            "test_units": test_units,
-        }
+        """Every setting but ``checkpoint_dir``, the split's fields as
+        ``split_*`` keys, and the units each side resolved to."""
+        settings = asdict(self)
+        del settings["checkpoint_dir"]
+        for key, value in settings.pop("split").items():
+            settings[f"split_{key}"] = list(value) if isinstance(value, tuple) else value
+        settings["train_units"], settings["test_units"] = split_units
+        return settings
 
 
 @dataclass
@@ -133,17 +126,9 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         """Everything but the wall time, which alone differs between runs."""
-        return {
-            "epoch_losses": self.epoch_losses,
-            "final_test_rmse": self.final_test_rmse,
-            "config": self.config,
-            "checkpoint_path": self.checkpoint_path,
-            "train_units": self.train_units,
-            "test_units": self.test_units,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "skipped_zero_loss_batches": self.skipped_zero_loss_batches,
-        }
+        doc = asdict(self)
+        del doc["wall_time_s"]
+        return doc
 
 
 def _resolve_units(available: list, requested: int | tuple, offset: int, side: str) -> list:

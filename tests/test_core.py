@@ -134,7 +134,7 @@ def _snapshot(**overrides):
 
 def test_point_snapshot_valid():
     snap = _snapshot()
-    assert snap.rows == 9 and snap.cols == 5
+    assert snap.matrix.shape == (9, 5)
     assert not snap.matrix.flags.writeable
 
 

@@ -48,7 +48,7 @@ def test_parse_full_scale_file():
             if (i + k) % 997 == 0:  # drop a few slots
                 continue
             lines.append(f"{det},{ts},55.5")
-    series = ingestion.parse_raw(io.StringIO("\n".join(lines)))
+    series = ingestion.read_detector_file(io.StringIO("\n".join(lines)))[1]
     assert len(series) == 58
     assert all(len(s.samples) <= 17280 for s in series)
     assert [s.point.order_index for s in series] == list(range(58))
@@ -56,7 +56,7 @@ def test_parse_full_scale_file():
 
 def test_parse_empty_file_with_header():
     text = _file_text([("a", 0, 60.0), ("b", 1, 60.0)], [])
-    assert ingestion.parse_raw(io.StringIO(text)) == []
+    assert ingestion.read_detector_file(io.StringIO(text))[1] == []
 
 
 def test_parse_shuffled_rows_equal_sorted_rows():
@@ -66,8 +66,8 @@ def test_parse_shuffled_rows_equal_sorted_rows():
         ("a", "2024-01-01T00:05:00", 48.0),
     ]
     manifest = [("a", 0, 60.0)]
-    shuffled = ingestion.parse_raw(io.StringIO(_file_text(manifest, rows)))
-    ordered = ingestion.parse_raw(io.StringIO(_file_text(manifest, sorted(rows, key=lambda r: r[1]))))
+    shuffled = ingestion.read_detector_file(io.StringIO(_file_text(manifest, rows)))[1]
+    ordered = ingestion.read_detector_file(io.StringIO(_file_text(manifest, sorted(rows, key=lambda r: r[1]))))[1]
     assert shuffled == ordered
 
 
@@ -84,7 +84,7 @@ def test_parse_shuffled_rows_equal_sorted_rows():
 def test_parse_format_errors_carry_line_numbers(bad_line, match):
     text = "#point,a,0,60.0\n" + bad_line + "\n"
     with pytest.raises(ingestion.FormatError, match=match) as err:
-        ingestion.parse_raw(io.StringIO(text))
+        ingestion.read_detector_file(io.StringIO(text))[1]
     assert err.value.line == 2
 
 
@@ -94,13 +94,13 @@ def test_parse_duplicate_timestamp():
         ("a", "2024-01-01T00:00:00", 51.0),
     ])
     with pytest.raises(ingestion.FormatError, match="duplicate timestamp"):
-        ingestion.parse_raw(io.StringIO(text))
+        ingestion.read_detector_file(io.StringIO(text))[1]
 
 
 def test_parse_unknown_detector():
     text = _file_text([("a", 0, 60.0)], [("ghost", "2024-01-01T00:00:00", 50.0)])
     with pytest.raises(ingestion.UnknownDetectorError) as err:
-        ingestion.parse_raw(io.StringIO(text))
+        ingestion.read_detector_file(io.StringIO(text))[1]
     assert err.value.detector == "ghost"
 
 

@@ -1,9 +1,11 @@
-"""The container reader on checksummed input whose header is malformed."""
+"""The container reader, and the dataset and model loaders after it, on
+checksummed input whose header is malformed."""
 
 import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from trafficflow.serialization import (
     ContainerFormatError,
     VersionMismatchError,
     read_container,
+    write_container,
 )
 
 DOCUMENTED = (ContainerFormatError, ChecksumError, VersionMismatchError)
@@ -59,6 +62,46 @@ def test_claimed_shape_past_the_payload_is_truncation():
     blob = _sealed(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, header, b"\0" * 8)
     with pytest.raises(ChecksumError, match="truncated"):
         read_container(blob, models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION)
+
+
+_DATASET_HEADER = {
+    "kind": "dataset",
+    "config": {"delta": 1, "n_in": 0, "m_out": 0},
+    "network": {"points": [["a", 0, 60.0]], "n_in": 0, "m_out": 0},
+    "start": "2024-01-01T00:00:00",
+}
+_DATASET_ARRAYS = [("grid", np.full((1, 3), 0.5)), ("centre", np.array([0])), ("column", np.array([1]))]
+
+
+def _dataset_blob(header: dict) -> bytes:
+    return write_container(ingestion.DATASET_MAGIC, ingestion.DATASET_FORMAT_VERSION, header, _DATASET_ARRAYS)
+
+
+def test_dataset_header_fixture_loads():
+    dataset = ingestion.dataset_from_bytes(_dataset_blob(_DATASET_HEADER))
+    assert dataset.z == 1 and dataset.config.delta == 1
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("config", 5, "config must be a JSON object"),
+    ("config", [1], "config must be a JSON object"),
+    ("config", None, "config must be a JSON object"),
+    ("config", {"delta": 1, "deltas": 2}, "config has no field 'deltas'"),
+    ("config", {"delta": "1"}, "delta must be of type int"),
+    ("start", 5, "start is not a string"),
+    ("start", None, "start is not a string"),
+])
+def test_malformed_dataset_header_field_is_a_format_error(key, value, message):
+    with pytest.raises(ContainerFormatError, match=message):
+        ingestion.dataset_from_bytes(_dataset_blob({**_DATASET_HEADER, key: value}))
+
+
+@pytest.mark.parametrize("config", [5, [1], "concat", None])
+def test_model_header_config_of_another_type_is_a_format_error(config):
+    arrays = list(models.CnnPredictor.initialize(0).params.items())
+    blob = write_container(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, {"kind": "cnn", "config": config}, arrays)
+    with pytest.raises(ContainerFormatError, match="config is not a JSON object"):
+        models.load(blob)
 
 
 _json = st.recursive(
