@@ -94,6 +94,9 @@ class PointId:
     id: str
     order_index: int
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+
 
 @dataclass(frozen=True)
 class SnapshotConfig:
@@ -146,7 +149,13 @@ class NetworkSpec:
     m_out: int = 4
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         object.__setattr__(self, "points", tuple(self.points))
+        if not all(isinstance(p, PointId) for p in self.points):
+            raise ValueError(f"NetworkSpec.points must be PointIds, got {self.points!r}")
+        numbers = _FIELD_TYPES["float"]
+        if not all(isinstance(v, numbers) and not isinstance(v, (bool, np.bool_)) for v in self.speed_limits):
+            raise ValueError(f"NetworkSpec.speed_limits must be numbers, got {self.speed_limits!r}")
         object.__setattr__(self, "speed_limits", tuple(float(v) for v in self.speed_limits))
         if len(self.points) != len(self.speed_limits):
             raise ValueError("points and speed_limits must have equal length")

@@ -496,7 +496,8 @@ def aligned_grid(
 ) -> tuple[np.ndarray, datetime]:
     """The (P, T) condition grid of one series per network point, in network
     order, and the time of its column 0.  Raises MisalignedSeriesError unless
-    the series cover every point once and share one start, length and step."""
+    the network has a point and the series cover every point once and share
+    one start, length and step."""
     by_order = {s.point.order_index: s for s in clean_series}
     if len(by_order) != len(clean_series):
         raise MisalignedSeriesError("duplicate series for one point")
@@ -506,6 +507,8 @@ def aligned_grid(
         extra = sorted(set(by_order) - wanted)
         raise MisalignedSeriesError(f"series/network mismatch (missing {missing}, extra {extra})")
 
+    if not spec.points:
+        raise MisalignedSeriesError("the network has no points")
     ordered = [by_order[p.order_index] for p in spec.points]
     first = ordered[0]
     for s in ordered:
@@ -682,25 +685,35 @@ def dataset_to_bytes(dataset: Dataset) -> bytes:
 def dataset_from_bytes(data: bytes) -> Dataset:
     """Parse and verify dataset-file bytes.  Raises ContainerFormatError,
     ChecksumError or VersionMismatchError for a damaged, foreign or version 1
-    file or a header without a snapshot config object and a start string, and
-    ValueError when the grid or index arrays break a Dataset check."""
+    file or a header without a snapshot config object, a network object and
+    a start timestamp string, and ValueError when the grid or index arrays
+    break a Dataset check."""
     header, arrays = read_container(data, DATASET_MAGIC, DATASET_FORMAT_VERSION)
     missing = {"grid", "centre", "column"} - set(arrays)
     if missing:
         raise ContainerFormatError(f"dataset file lacks arrays {sorted(missing)}")
-    try:
-        cfg = from_json(SnapshotConfig, header.get("config"), "dataset header config")
-    except ValueError as err:
-        raise ContainerFormatError(str(err)) from None
     start = header.get("start")
     if not isinstance(start, str):
         raise ContainerFormatError(f"dataset header start is not a string: {start!r}")
-    net = header["network"]
-    points = tuple(PointId(pid, order) for pid, order, _ in net["points"])
-    limits = tuple(limit for _, _, limit in net["points"])
-    spec = NetworkSpec(points=points, speed_limits=limits, n_in=net["n_in"], m_out=net["m_out"])
-    windows = Windows(arrays["grid"], datetime.fromisoformat(start), arrays["centre"], arrays["column"])
+    try:
+        cfg = from_json(SnapshotConfig, header.get("config"), "dataset header config")
+        net = json_object(header.get("network"), "dataset header network")
+        spec = _network(net.get("points"), "dataset header network points", net.get("n_in"), net.get("m_out"))
+        start = datetime.fromisoformat(start)
+    except ValueError as err:
+        raise ContainerFormatError(str(err)) from None
+    windows = Windows(arrays["grid"], start, arrays["centre"], arrays["column"])
     return Dataset(windows, cfg, spec)
+
+
+def _network(entries, name: str, n_in, m_out) -> NetworkSpec:
+    """The network of a JSON list of ``[id, order_index, speed_limit]``
+    entries.  Raises ValueError naming ``name`` or the field for anything
+    else."""
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 3 for e in entries):
+        raise ValueError(f"{name} must be a list of [id, order_index, speed_limit] entries, got {entries!r}")
+    points = tuple(PointId(pid, order) for pid, order, _ in entries)
+    return NetworkSpec(points, tuple(limit for _, _, limit in entries), n_in, m_out)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -737,7 +750,8 @@ def load_profile(path: str | Path) -> SynthJob:
     """Read a JSON synthesis profile.
 
     Schema: ``snapshot`` (SnapshotConfig fields), ``network`` (either
-    ``{"points": N, "speed_limit": v}`` or an explicit point list), ``days``,
+    ``{"points": N, "speed_limit": v}`` or ``{"points": [...]}``, a list of
+    ``{"id", "order_index", "speed_limit"}`` objects), ``days``,
     ``start`` (ISO timestamp), and the SyntheticProfile fields
     (``base_speed_ratio``, ``noise_std``, ``propagation_lag_steps``,
     ``dips``), whose defaults are the dataclasses' own.  Raises ValueError
@@ -745,15 +759,22 @@ def load_profile(path: str | Path) -> SynthJob:
     """
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
     cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
-    net = doc["network"]
-    if "points" in net and isinstance(net["points"], int):
-        spec = chain_network(
-            net["points"], net.get("speed_limit", 65.0), n_in=cfg.n_in, m_out=cfg.m_out
-        )
+    net = json_object(doc.get("network"), "network")
+    points = net.get("points")
+    if isinstance(points, list):
+        entries = [json_object(p, f"network.points[{i}]") for i, p in enumerate(points)]
+        entries = [[p.get("id"), p.get("order_index"), p.get("speed_limit")] for p in entries]
+        spec = _network(entries, "network.points", cfg.n_in, cfg.m_out)
+    elif isinstance(points, int) and not isinstance(points, bool):
+        limit = net.get("speed_limit", 65.0)
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+            raise ValueError(f"network.speed_limit must be a number, got {limit!r}")
+        spec = chain_network(points, limit, n_in=cfg.n_in, m_out=cfg.m_out)
     else:
-        points = tuple(PointId(p["id"], p["order_index"]) for p in net["points"])
-        limits = tuple(p["speed_limit"] for p in net["points"])
-        spec = NetworkSpec(points=points, speed_limits=limits, n_in=cfg.n_in, m_out=cfg.m_out)
+        raise ValueError(f"network.points must be a point count or a list of point objects, got {points!r}")
+    start = doc.get("start", "2024-01-01T00:00:00")
+    if not isinstance(start, str):
+        raise ValueError(f"start must be an ISO timestamp string, got {start!r}")
     profile = {key: value for key, value in doc.items() if key not in _JOB_KEYS}
     if "dips" in profile:
         if not isinstance(profile["dips"], list):
@@ -764,5 +785,5 @@ def load_profile(path: str | Path) -> SynthJob:
         spec=spec,
         cfg=cfg,
         days=doc["days"],
-        start=datetime.fromisoformat(doc.get("start", "2024-01-01T00:00:00")),
+        start=datetime.fromisoformat(start),
     )

@@ -54,10 +54,15 @@ _FILTERS = 64
 _HIDDEN_DENSE = 32
 _LSTM_HIDDEN = 20
 
-# Snapshots per predict_dataset forward pass.  The working set must stay
-# cache-sized: at 256 rows conv2's im2col operand is 5.9 MB, at 4096 rows it
-# is 94 MB and the CNN runs memory-bound, 1.3x slower per snapshot.  256 gave
-# the fastest CNN plus LSTM total in a sweep from 32 to 4096 rows.
+# About how many snapshots one predict_dataset pass takes: ``chunk`` rows per
+# LSTM forward pass and per pass of the CNN's row path, and
+# ``chunk // centre_rows`` grid columns per tile of the CNN's grid path, about
+# ``chunk`` snapshots of a full dataset.  The working set must stay
+# cache-sized: at 256 rows conv2's im2col operand is 5.9 MB on the row path,
+# at 4096 rows it is 94 MB and the CNN ran memory-bound, 1.3x slower per
+# snapshot.  A grid-path tile has at most as many conv2 cells as its
+# snapshots would have on the row path.  256 gave the fastest CNN plus LSTM
+# total in a sweep of the row path from 32 to 4096 rows.
 PREDICT_CHUNK = 256
 
 
@@ -220,15 +225,23 @@ class CnnPredictor(_Predictor):
         """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         x = _stack(matrices)
         batch = x.shape[0]
-        day, time_v = _context_arrays(day, time_v, batch)
-        a1, c1 = nn.conv2d_forward(x[..., None], self.params["conv1_w"], self.params["conv1_b"], "relu")
+        a2, c1, c2 = self._convs(x[..., None])
+        out, c3, c4 = self._dense(a2.reshape(batch, -1), *_context_arrays(day, time_v, batch))
+        return out, (c1, c2, c3, c4, batch)
+
+    def _convs(self, x: np.ndarray):
+        """Both convolutions over a (B, H, W, 1) stack: (conv2 map, caches)."""
+        a1, c1 = nn.conv2d_forward(x, self.params["conv1_w"], self.params["conv1_b"], "relu")
         a2, c2 = nn.conv2d_forward(a1, self.params["conv2_w"], self.params["conv2_b"], "relu")
-        flat = a2.reshape(batch, -1)
+        return a2, c1, c2
+
+    def _dense(self, flat: np.ndarray, day: np.ndarray, time_v: np.ndarray):
+        """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches)."""
         if self.context_mode == "concat":
             flat = np.concatenate([flat, day[:, None], time_v[:, None]], axis=1)
         h, c3 = nn.dense_forward(flat, self.params["fc1_w"], self.params["fc1_b"], "relu")
         out, c4 = nn.dense_forward(h, self.params["fc2_w"], self.params["fc2_b"], "sigmoid")
-        return out[:, 0], (c1, c2, c3, c4, batch)
+        return out[:, 0], c3, c4
 
     def backward_batch(self, grad_preds: np.ndarray, cache) -> dict[str, np.ndarray]:
         """Parameter gradients given d(loss)/d(predictions)."""
@@ -257,16 +270,49 @@ class CnnPredictor(_Predictor):
         return float(preds[0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
-        """Vectorized predictions for every snapshot, in dataset order.
+        """Predictions for every snapshot, in dataset order.
 
-        Snapshots go through the network ``chunk`` at a time, so the working
-        set stays cache-sized and peak memory does not grow with the dataset.
+        Both convolutions are valid and stride 1, so snapshots that overlap on
+        the condition grid share conv cells: up to 5 snapshots read each conv2
+        cell.  The snapshots go in blocks of ``max(1, chunk // centre_rows)``
+        grid columns, where ``centre_rows`` is the span of their centre rows,
+        so a full block holds about ``chunk`` snapshots.  A block takes the
+        grid path when its tile (every grid cell its snapshots read) has at
+        most as many conv2 cells as its snapshots have between them, 5 each:
+        both convolutions run once over the tile, and each snapshot's 5x1x64
+        conv2 cells are gathered for fc1 and fc2.  Any other block, as in a
+        sparse or scattered subset, goes through ``forward_batch`` with the
+        other such blocks' snapshots, ``chunk`` per pass.
         """
+        cfg, (grid, _, centre, column) = dataset.config, dataset.windows
+        if (cfg.rows, cfg.cols) != (SNAP_ROWS, SNAP_COLS):
+            raise ShapeMismatchError(f"expected {SNAP_ROWS}x{SNAP_COLS} snapshots, got {cfg.rows}x{cfg.cols}")
         day, time_v = dataset.context()
         out = np.empty(dataset.z)
-        for lo in range(0, dataset.z, chunk):
-            hi = min(lo + chunk, dataset.z)
-            out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)), day[lo:hi], time_v[lo:hi])
+        if not dataset.z:
+            return out
+        shrink = 2 * (_FILTER - 1)  # what the two convolutions take off each axis
+        cells = SNAP_ROWS - shrink  # conv2 cells per snapshot, in one column
+        width = max(1, chunk // (int(centre.max()) - int(centre.min()) + 1))
+        block = (column - column.min()) // width
+        order = np.argsort(block, kind="stable")
+        by_rows = []
+        for sel in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
+            top, left = centre[sel].min() - cfg.n_in, column[sel].min() - cfg.delta
+            tile = grid[top : centre[sel].max() + cfg.m_out + 1, left : column[sel].max() + 1]
+            if (tile.shape[0] - shrink) * (tile.shape[1] - shrink) > cells * len(sel):
+                by_rows.append(sel)
+                continue
+            a2, _, _ = self._convs(tile[None, :, :, None])
+            for lo in range(0, len(sel), chunk):
+                part = sel[lo : lo + chunk]
+                rows = (centre[part] - cfg.n_in - top)[:, None] + np.arange(cells)
+                flat = a2[0, rows, (column[part] - cfg.delta - left)[:, None]].reshape(len(part), -1)
+                out[part] = self._dense(flat, day[part], time_v[part])[0]
+        rest = np.concatenate(by_rows) if by_rows else order[:0]
+        for lo in range(0, len(rest), chunk):
+            part = rest[lo : lo + chunk]
+            out[part], _ = self.forward_batch(dataset.matrices(part), day[part], time_v[part])
         return out
 
 
@@ -310,7 +356,9 @@ class LstmPredictor(_Predictor):
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
         """Predictions for every snapshot, in dataset order, ``chunk`` snapshots
-        per forward pass (a cache-sized working set, as for the CNN)."""
+        per forward pass, so the working set stays cache-sized.  There is no
+        grid path: each window's recurrence starts from a zero state, so
+        overlapping snapshots share only the first layer's input projection."""
         out = np.empty(dataset.z)
         for lo in range(0, dataset.z, chunk):
             hi = min(lo + chunk, dataset.z)

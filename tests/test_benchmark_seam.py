@@ -6,7 +6,10 @@ puts the originals back; a renamed or deleted one fails its install.
 
 import importlib
 import sys
+from datetime import datetime
 from pathlib import Path
+
+import numpy as np
 
 # every module the wrappers go into, loaded before the attributes are listed
 from trafficflow import core, evaluation, ingestion, models, nn, serialization, simulation, training  # noqa: F401
@@ -39,3 +42,15 @@ def test_traced_run_wraps_its_names_and_restores_every_original(monkeypatch):
     after = _program_attributes()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_predict_dataset_takes_the_chunk_keyword():
+    # the simulate workload's central reference calls predict_dataset(subset, chunk=64)
+    spec = core.chain_network(10, 60.0)
+    cfg = core.SnapshotConfig(step_minutes=30)
+    values = np.random.default_rng(0).uniform(0, 1, size=(10, 12))
+    series = [ingestion.CleanSeries(p, values[k], datetime(2024, 1, 1), 30) for k, p in enumerate(spec.points)]
+    dataset = ingestion.window(series, spec, cfg)
+    for model in (models.CnnPredictor.initialize(0), models.LstmPredictor.initialize(0)):
+        preds = model.predict_dataset(dataset, chunk=64)
+        assert preds.shape == (dataset.z,) and np.all((preds > 0) & (preds < 1))

@@ -204,6 +204,20 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "snapshot": [1]}, SYNTH, "snapshot must be a JSON object"),
     ({**TINY_PROFILE, "noise_sd": 0.1}, SYNTH, "profile has no field 'noise_sd'"),
     ({**TINY_PROFILE, "days": "2"}, SYNTH, "SynthJob.days must be of type"),
+    ({**TINY_PROFILE, "start": 5}, SYNTH, "start must be an ISO timestamp string"),
+    ({**TINY_PROFILE, "network": [1]}, SYNTH, "network must be a JSON object"),
+    ({**TINY_PROFILE, "network": 5}, SYNTH, "network must be a JSON object"),
+    ({key: v for key, v in TINY_PROFILE.items() if key != "network"}, SYNTH, "network must be a JSON object"),
+    ({**TINY_PROFILE, "network": {"points": "x"}}, SYNTH, "network.points must be a point count"),
+    ({**TINY_PROFILE, "network": {"points": True}}, SYNTH, "network.points must be a point count"),
+    ({**TINY_PROFILE, "network": {"points": 12, "speed_limit": "60"}}, SYNTH, "network.speed_limit must be a number"),
+    ({**TINY_PROFILE, "network": {"points": ["x"]}}, SYNTH, "network.points[0] must be a JSON object"),
+    ({**TINY_PROFILE, "network": {"points": 0}}, SYNTH, "the network has no points"),
+    ({**TINY_PROFILE, "network": {"points": []}}, SYNTH, "the network has no points"),
+    ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": "0", "speed_limit": 60}]}}, SYNTH,
+     "PointId.order_index must be of type int"),
+    ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": 0}]}}, SYNTH,
+     "NetworkSpec.speed_limits must be numbers"),
 ])
 def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, argv, message):
     # every command checks its settings before it opens its data file

@@ -1,6 +1,7 @@
 """Parsing, cleaning, context scalars, windowing, synthesis, dataset files."""
 
 import io
+import json
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -466,6 +467,15 @@ def test_dip_depths_match_the_per_slot_loop(dips, points, lag, step, days, first
 def test_profile_values_of_another_type_are_value_errors(build):
     with pytest.raises(ValueError, match="must be"):
         build()
+
+
+def test_profile_network_as_an_explicit_point_list(tmp_path):
+    points = [{"id": "up", "order_index": 3, "speed_limit": 50}, {"id": "down", "order_index": 7, "speed_limit": 70.5}]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"snapshot": {"n_in": 1, "m_out": 0}, "network": {"points": points}, "days": 1}))
+    job = ingestion.load_profile(path)
+    assert job.spec == core.NetworkSpec((core.PointId("up", 3), core.PointId("down", 7)), (50.0, 70.5), 1, 0)
+    assert job.start == datetime(2024, 1, 1)
 
 
 # ---------------------------------------------------------------------------

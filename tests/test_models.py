@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trafficflow import core, ingestion, models, nn
 from trafficflow.serialization import ChecksumError, ContainerFormatError, VersionMismatchError
@@ -226,6 +228,116 @@ def test_predict_dataset_is_independent_of_chunk_size():
             np.testing.assert_allclose(model.predict_dataset(ds, chunk=size), default, rtol=0, atol=1e-12)
         single = np.array([model.predict_snapshot(ds.snapshots[int(i)]) for i in sample])
         np.testing.assert_allclose(default[sample], single, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the CNN's grid path against the per-snapshot path
+
+
+_CNNS = {mode: models.CnnPredictor.initialize(13, context_mode=mode) for mode in ("none", "concat")}
+
+
+def _row_path(model, dataset):
+    """Every snapshot of ``dataset`` through one forward_batch."""
+    day, time_v = dataset.context()
+    return model.forward_batch(dataset.matrices(), day, time_v)[0]
+
+
+def _assert_fresh(preds, model, dataset):
+    assert not any(np.shares_memory(preds, a) for a in (dataset.windows.grid, *model.params.values()))
+
+
+@st.composite
+def _cnn_datasets(draw):
+    n_in = draw(st.sampled_from([3, 4, 5]))
+    cfg = core.SnapshotConfig(n_in=n_in, m_out=8 - n_in, horizon_steps=draw(st.integers(1, 3)))
+    n_points = draw(st.integers(9, 15))
+    n_slots = draw(st.integers(cfg.delta + cfg.horizon_steps + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = core.chain_network(n_points, 60.0, n_in=cfg.n_in, m_out=cfg.m_out)
+    series = make_network_series(rng.uniform(0, 1, size=(n_points, n_slots)), spec, step_minutes=cfg.step_minutes)
+    ds = ingestion.window(series, spec, cfg)
+    rows = {
+        "all": np.arange(ds.z),
+        "shuffled": rng.permutation(ds.z),
+        "sparse": rng.choice(ds.z, size=draw(st.integers(1, ds.z)), replace=False),
+        "repeated": rng.integers(0, ds.z, size=draw(st.integers(1, 3 * ds.z))),
+    }[draw(st.sampled_from(["all", "shuffled", "sparse", "repeated"]))]
+    return ds.subset(rows)
+
+
+@given(
+    dataset=_cnn_datasets(),
+    mode=st.sampled_from(["none", "concat"]),
+    chunk=st.sampled_from([1, 7, models.PREDICT_CHUNK, None]),
+)
+def test_cnn_predict_dataset_matches_the_per_snapshot_path(dataset, mode, chunk):
+    model = _CNNS[mode]
+    preds = model.predict_dataset(dataset, chunk=chunk or dataset.z)
+    np.testing.assert_allclose(preds, _row_path(model, dataset), rtol=0, atol=1e-12)
+    _assert_fresh(preds, model, dataset)
+
+
+def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
+    spec = core.chain_network(14, 60.0)  # centres 4 .. 9
+    cfg = core.SnapshotConfig(step_minutes=30)
+    values = np.random.default_rng(14).uniform(0, 1, size=(14, 80))
+    ds = ingestion.window(make_network_series(values, spec), spec, cfg)
+    model = models.CnnPredictor.initialize(2, context_mode="concat")
+    sizes = []  # the size of every batch the row path runs
+    original = model.forward_batch
+
+    def counting(matrices, day, time_v):
+        sizes.append(len(matrices))
+        return original(matrices, day, time_v)
+
+    model.forward_batch = counting
+
+    # a full dataset: every block's tile has fewer than 5 conv2 cells per snapshot
+    preds = model.predict_dataset(ds)
+    assert sizes == []
+    np.testing.assert_allclose(preds, _row_path(model, ds), rtol=0, atol=1e-12)
+
+    # one snapshot per column, on the first and the last centre row in turn:
+    # every tile spans all six centre rows, twice the conv2 cells the row path needs
+    w = ds.windows
+    scattered = ds.subset(np.flatnonzero(w.centre == np.where(w.column % 2, 4, 9)))
+    assert set(scattered.windows.centre) == {4, 9} and len(set(scattered.windows.column)) == scattered.z
+    sizes.clear()
+    preds = model.predict_dataset(scattered, chunk=32)
+    assert sum(sizes) == scattered.z and max(sizes) <= 32
+    model.forward_batch = original
+    np.testing.assert_allclose(preds, _row_path(model, scattered), rtol=0, atol=1e-12)
+    _assert_fresh(preds, model, scattered)
+
+
+def _tiny_dataset(rows):
+    spec = core.chain_network(11, 60.0)  # centres 4 .. 6
+    cfg = core.SnapshotConfig(step_minutes=30)
+    values = np.random.default_rng(15).uniform(0, 1, size=(11, 12))
+    ds = ingestion.window(make_network_series(values, spec), spec, cfg)
+    return ds.subset(np.flatnonzero(ds.windows.centre == 5) if rows == "one centre row" else rows)
+
+
+@pytest.mark.parametrize("rows", [[], [9], "one centre row"])
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_predict_dataset_of_empty_and_tiny_datasets(kind, rows):
+    ds = _tiny_dataset(rows)
+    model = models.KINDS[kind].initialize(3)
+    preds = model.predict_dataset(ds)
+    assert preds.shape == (ds.z,) == (len(rows) if isinstance(rows, list) else 7,)
+    single = [model.predict_snapshot(s) for s in ds.snapshots]
+    np.testing.assert_allclose(preds, single, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_in,delta", [(5, 4), (4, 5)])
+def test_cnn_predict_dataset_rejects_other_snapshot_geometry(n_in, delta):
+    # a full dataset, whose blocks would all take the grid path
+    spec = core.chain_network(16, 60.0, n_in=n_in, m_out=4)
+    cfg = core.SnapshotConfig(delta=delta, n_in=n_in, m_out=4, step_minutes=30)
+    ds = ingestion.window(make_network_series(np.full((16, 12), 0.5), spec), spec, cfg)
+    with pytest.raises(nn.ShapeMismatchError):
+        models.CnnPredictor.initialize(0).predict_dataset(ds)
 
 
 # ---------------------------------------------------------------------------

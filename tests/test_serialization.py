@@ -82,6 +82,9 @@ def test_dataset_header_fixture_loads():
     assert dataset.z == 1 and dataset.config.delta == 1
 
 
+_NO_VALUE = object()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("config", 5, "config must be a JSON object"),
     ("config", [1], "config must be a JSON object"),
@@ -90,10 +93,25 @@ def test_dataset_header_fixture_loads():
     ("config", {"delta": "1"}, "delta must be of type int"),
     ("start", 5, "start is not a string"),
     ("start", None, "start is not a string"),
+    ("start", "Monday", "Invalid isoformat string"),
+    ("network", _NO_VALUE, "network must be a JSON object"),
+    ("network", 5, "network must be a JSON object"),
+    ("network", [1], "network must be a JSON object"),
+    ("network", {"points": "x", "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
+    ("network", {"n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
+    ("network", {"points": [["a", 0]], "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
+    ("network", {"points": ["a", 0, 60.0], "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
+    ("network", {"points": [[5, 0, 60.0]], "n_in": 0, "m_out": 0}, "PointId.id must be of type str"),
+    ("network", {"points": [["a", "0", 60.0]], "n_in": 0, "m_out": 0}, "PointId.order_index must be of type int"),
+    ("network", {"points": [["a", 0, None]], "n_in": 0, "m_out": 0}, "speed_limits must be numbers"),
+    ("network", {"points": [["a", 0, 60.0]], "n_in": 0}, "NetworkSpec.m_out must be of type int"),
 ])
 def test_malformed_dataset_header_field_is_a_format_error(key, value, message):
+    header = {**_DATASET_HEADER, key: value}
+    if value is _NO_VALUE:
+        del header[key]
     with pytest.raises(ContainerFormatError, match=message):
-        ingestion.dataset_from_bytes(_dataset_blob({**_DATASET_HEADER, key: value}))
+        ingestion.dataset_from_bytes(_dataset_blob(header))
 
 
 @pytest.mark.parametrize("config", [5, [1], "concat", None])
