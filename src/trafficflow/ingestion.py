@@ -755,7 +755,8 @@ def load_profile(path: str | Path) -> SynthJob:
     ``start`` (ISO timestamp), and the SyntheticProfile fields
     (``base_speed_ratio``, ``noise_std``, ``propagation_lag_steps``,
     ``dips``), whose defaults are the dataclasses' own.  Raises ValueError
-    naming the field for a value of another type or an unknown key.
+    naming the field for a value of another type, an unknown key, a missing
+    ``days`` or a ``start`` that is not an ISO timestamp.
     """
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
     cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
@@ -772,9 +773,13 @@ def load_profile(path: str | Path) -> SynthJob:
         spec = chain_network(points, limit, n_in=cfg.n_in, m_out=cfg.m_out)
     else:
         raise ValueError(f"network.points must be a point count or a list of point objects, got {points!r}")
+    if "days" not in doc:
+        raise ValueError(f"profile {path} lacks the required field 'days'")
     start = doc.get("start", "2024-01-01T00:00:00")
-    if not isinstance(start, str):
-        raise ValueError(f"start must be an ISO timestamp string, got {start!r}")
+    try:
+        start = datetime.fromisoformat(start)
+    except (TypeError, ValueError):
+        raise ValueError(f"start must be an ISO timestamp string, got {start!r}") from None
     profile = {key: value for key, value in doc.items() if key not in _JOB_KEYS}
     if "dips" in profile:
         if not isinstance(profile["dips"], list):
@@ -785,5 +790,5 @@ def load_profile(path: str | Path) -> SynthJob:
         spec=spec,
         cfg=cfg,
         days=doc["days"],
-        start=datetime.fromisoformat(start),
+        start=start,
     )

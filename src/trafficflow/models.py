@@ -116,10 +116,11 @@ def _lstm_manifest() -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _context_arrays(day, time_v, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    day = np.zeros(batch) if day is None else np.asarray(day, dtype=np.float64).reshape(batch)
-    time_v = np.zeros(batch) if time_v is None else np.asarray(time_v, dtype=np.float64).reshape(batch)
-    return day, time_v
+def _context_columns(day, time_v, batch: int) -> list[np.ndarray]:
+    """Day and time values (scalars at batch 1) as (B, 1) columns; a missing
+    one reads 0."""
+    return [np.zeros((batch, 1)) if v is None else np.asarray(v, dtype=np.float64).reshape(batch, 1)
+            for v in (day, time_v)]
 
 
 def _stack(matrices: np.ndarray) -> np.ndarray:
@@ -222,11 +223,12 @@ class CnnPredictor(_Predictor):
         ]
 
     def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
-        """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
+        """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache).
+        ``day`` and ``time_v`` are (B,) values, or scalars at B = 1."""
         x = _stack(matrices)
         batch = x.shape[0]
         a2, c1, c2 = self._convs(x[..., None])
-        out, c3, c4 = self._dense(a2.reshape(batch, -1), *_context_arrays(day, time_v, batch))
+        out, c3, c4 = self._dense(a2.reshape(batch, -1), day, time_v)
         return out, (c1, c2, c3, c4, batch)
 
     def _convs(self, x: np.ndarray):
@@ -235,10 +237,11 @@ class CnnPredictor(_Predictor):
         a2, c2 = nn.conv2d_forward(a1, self.params["conv2_w"], self.params["conv2_b"], "relu")
         return a2, c1, c2
 
-    def _dense(self, flat: np.ndarray, day: np.ndarray, time_v: np.ndarray):
-        """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches)."""
+    def _dense(self, flat: np.ndarray, day, time_v):
+        """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches).
+        Only the concat mode reads ``day`` and ``time_v``."""
         if self.context_mode == "concat":
-            flat = np.concatenate([flat, day[:, None], time_v[:, None]], axis=1)
+            flat = np.concatenate([flat, *_context_columns(day, time_v, len(flat))], axis=1)
         h, c3 = nn.dense_forward(flat, self.params["fc1_w"], self.params["fc1_b"], "relu")
         out, c4 = nn.dense_forward(h, self.params["fc2_w"], self.params["fc2_b"], "sigmoid")
         return out[:, 0], c3, c4
@@ -266,7 +269,7 @@ class CnnPredictor(_Predictor):
 
     def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
         """Single-snapshot prediction (the path decentralized nodes use)."""
-        preds, _ = self.forward_batch(np.asarray(matrix)[None], np.array([day_value]), np.array([time_value]))
+        preds, _ = self.forward_batch(np.asarray(matrix)[None], day_value, time_value)
         return float(preds[0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:

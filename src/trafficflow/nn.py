@@ -2,14 +2,20 @@
 
 Everything runs in float64 numpy.  Every layer takes a batch: an array
 whose leading dimension indexes samples, one sample being a batch of one.
-Each layer's weights meet the whole batch in one 2-D matrix product (the
-LSTM's recurrent product is one per timestep).  Convolution patches are
-gathered in the weights' own (k, k, C) order, so the weight matrix is a view
-of the (k, k, C, F) weights; the LSTM halves its sigmoid-gate columns so
-that one tanh per step gives all four gates.  The forward pass returns a
-cache object that the matching backward pass consumes.  Backward passes
-are analytic (no autodiff) and are held to central finite differences by
-the test suite.
+Training, dataset prediction and a node's single-snapshot prediction all
+run these kernels, so at batch 1 their cost is mostly numpy's per-call
+overhead, and each kernel keeps its call count low.  Each layer's weights
+meet the whole batch in one 2-D matrix product (the LSTM's recurrent
+product is one per timestep after the first).  Convolution patches are
+gathered through a window view, an ndarray built over the contiguous
+input's buffer with its H and W strides repeated, in the weights' own
+(k, k, C) order, so the weight matrix is a view of the (k, k, C, F)
+weights.  The LSTM halves its sigmoid-gate columns so that one tanh per
+step gives all four gates, and writes each step's gates, cell, tanh(cell)
+and hidden state in place into time-major (T, B, ...) arrays, which are
+its cache.  The forward pass returns a cache object that the matching
+backward pass consumes.  Backward passes are analytic (no autodiff) and
+are held to central finite differences by the test suite.
 
 Supported pieces: valid 2-D convolution (stride 1, no padding), fully
 connected layers, a 4-gate LSTM cell with backprop through time, relu /
@@ -19,6 +25,7 @@ training loss, and plain SGD.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +78,14 @@ class NonFiniteGradientError(ArithmeticError):
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
-    exp(-|z|) cannot overflow; it underflows only where the result rounds
-    to 0 or 1, so underflow is not reported.
+    Neither exponent is positive, so exp cannot overflow.  It underflows only
+    for |z| > 708, where the result is 1 or that subnormal exp(z) itself, so
+    underflow is not reported.
     """
+    # exp(min(z, 0)) is exactly 1 where z >= 0 and exp(-|z|) where z < 0, so
+    # this is 1 / (1 + e) or e / (1 + e), e = exp(-|z|), without a select
     with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(z))
-        d = 1.0 + e
-        return np.where(z >= 0, 1.0 / d, e / d)
+        return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -146,21 +154,25 @@ def conv2d_forward(
     if x.shape[1] < k or x.shape[2] < k:
         raise ShapeMismatchError(f"input {x.shape[1]}x{x.shape[2]} smaller than filter {k}x{k}")
 
-    # (B, H', W', k, k, C) window view, built directly (sliding_window_view's
-    # argument checks cost more than the view at batch 1).  Patches in the
-    # weights' own (k, k, C) order make w_mat a view of the weights, and the
-    # patch copy moves contiguous runs of C channels.
+    # (B, H', W', k, k, C) window view: an ndarray over the contiguous input's
+    # own buffer with the window axes reusing the H and W strides.  The
+    # constructor checks only that the view stays inside the buffer, where
+    # as_strided and sliding_window_view cost several times the conv1 GEMM
+    # at batch 1.  Patches in the weights' own (k, k, C) order make w_mat a
+    # view of the weights, and the patch copy moves contiguous runs of C
+    # channels.
+    x = np.ascontiguousarray(x)
     b, height, width = x.shape[:3]
     out_h, out_w = height - k + 1, width - k + 1
     s_b, s_h, s_w, s_c = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, (b, out_h, out_w, k, k, c_in), (s_b, s_h, s_w, s_h, s_w, s_c), writeable=False
-    )
+    view = np.ndarray((b, out_h, out_w, k, k, c_in), np.float64, x, 0, (s_b, s_h, s_w, s_h, s_w, s_c))
     # one row per output position of every sample: a 2-D operand makes the
     # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
     cols = view.reshape(b * out_h * out_w, k * k * c_in)
     w_mat = weights.reshape(k * k * c_in, f)
-    z = (cols @ w_mat + biases).reshape(b, out_h, out_w, f)
+    z = cols @ w_mat
+    z += biases
+    z = z.reshape(b, out_h, out_w, f)
     out = _activate(z, activation)
     return out, ConvCache(cols, w_mat, z, out, activation, x.shape, k)
 
@@ -236,7 +248,8 @@ def dense_forward(
         )
     if biases.shape != (weights.shape[1],):
         raise ShapeMismatchError(f"biases must be ({weights.shape[1]},), got {biases.shape}")
-    z = x @ weights + biases
+    z = x @ weights
+    z += biases
     out = _activate(z, activation)
     return out, DenseCache(x, weights, z, out, activation)
 
@@ -268,6 +281,8 @@ def dense_backward(
 
 @dataclass
 class LstmStepCache:
+    """One step's values: views into the LstmCache arrays."""
+
     h_prev: np.ndarray
     c_prev: np.ndarray
     i: np.ndarray
@@ -279,10 +294,31 @@ class LstmStepCache:
 
 @dataclass
 class LstmCache:
+    """A forward pass's state, in time-major arrays written in place.
+
+    ``gates`` (T, B, 4H) holds i, f, g, o as squashed; ``c`` and ``h``
+    (T + 1, B, H) hold the cell and hidden state before step 0 (zeros) and
+    after each step; ``tanh_c`` (T, B, H) holds tanh(c) of each step.
+    """
+
     xs: np.ndarray
-    steps: list[LstmStepCache]
     w_x: np.ndarray
     w_h: np.ndarray
+    gates: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
+
+    @property
+    def steps(self) -> list[LstmStepCache]:
+        """Per-step views, oldest first."""
+        gates = _gate_views(self.gates, self.h.shape[2])
+        return [LstmStepCache(*step) for step in zip(self.h, self.c, *gates, self.tanh_c)]
+
+
+def _gate_views(gates: np.ndarray, hidden: int) -> np.ndarray:
+    """i, f, g, o as (T, B, H) views of the packed (T, B, 4H) gates."""
+    return gates.reshape(*gates.shape[:2], 4, hidden).transpose(2, 0, 1, 3)
 
 
 def _check_lstm_params(w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray) -> int:
@@ -294,6 +330,19 @@ def _check_lstm_params(w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray) -> int:
     return hidden4 // 4
 
 
+@functools.lru_cache(maxsize=8)
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, offset), each (1, 4H): 0.5 and 0.5 for i/f/o, 1 and -0 for g.
+    ``t * scale + offset`` is (1 + t) / 2 in the halved columns and leaves g's
+    tanh as it is, -0 included.  Read-only, since every call shares them."""
+    scale = np.full((1, 4 * hidden), 0.5)
+    offset = np.full((1, 4 * hidden), 0.5)
+    scale[:, 2 * hidden : 3 * hidden] = 1.0
+    offset[:, 2 * hidden : 3 * hidden] = -0.0
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
+
+
 def lstm_forward(
     xs: np.ndarray,
     w_x: np.ndarray,
@@ -303,7 +352,8 @@ def lstm_forward(
     """Run a full sequence (B, T, D) from zero initial state.
 
     i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
-    all hidden states (B, T, H) plus the BPTT cache.
+    all hidden states (B, T, H), a view of the cache's ``h``, plus the BPTT
+    cache.
     """
     xs = _batch(xs, 3, "(B, T, D)")
     w_x = np.asarray(w_x, dtype=np.float64)
@@ -317,29 +367,33 @@ def lstm_forward(
     # i/f/o columns halved (see the packing note above).  The input
     # projection does not depend on the recurrence: one GEMM for every
     # timestep, leaving only h @ w_h inside the loop.
-    scale = np.full(4 * hidden, 0.5)
-    scale[2 * hidden : 3 * hidden] = 1.0
-    zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale).reshape(batch, steps, 4 * hidden)
+    scale, offset = _gate_affine(hidden)
+    zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale[0]).reshape(batch, steps, 4 * hidden)
     w_h_half = w_h * scale
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    hs = np.empty((batch, steps, hidden))
-    caches: list[LstmStepCache] = []
-    for t in range(steps):
-        z = h @ w_h_half
-        z += zx[:, t]
-        gates = np.tanh(z, out=z)
-        # g keeps its tanh; (1 + t) / 2 turns the halved columns into sigmoids
-        g = gates[:, 2 * hidden : 3 * hidden].copy()
-        gates *= 0.5
-        gates += 0.5
-        i, f, o = gates[:, :hidden], gates[:, hidden : 2 * hidden], gates[:, 3 * hidden :]
-        c_next = f * c + i * g
-        tanh_c = np.tanh(c_next)
-        caches.append(LstmStepCache(h, c, i, f, g, o, tanh_c))
-        h, c = o * tanh_c, c_next
-        hs[:, t] = h
-    return hs, LstmCache(xs, caches, w_x, w_h)
+    gates = np.empty((steps, batch, 4 * hidden))
+    c = np.zeros((steps + 1, batch, hidden))
+    tanh_c = np.empty((steps, batch, hidden))
+    h = np.zeros((steps + 1, batch, hidden))
+    # Each step writes in place through per-step views of these arrays.  At
+    # batch 1 every operand of an elementwise step then has the shape of its
+    # output, which numpy runs without setting up a broadcast.
+    i, f, g, o = _gate_views(gates, hidden)
+    for t, (z, zx_t, i_t, f_t, g_t, o_t, c_prev, c_t, tanh_c_t, h_prev, h_t) in enumerate(
+        zip(gates, zx.transpose(1, 0, 2), i, f, g, o, c, c[1:], tanh_c, h, h[1:])
+    ):
+        if t:  # np.dot: the GEMM that @ runs, for less per-call overhead
+            np.dot(h_prev, w_h_half, out=z)
+            z += zx_t
+            np.tanh(z, out=z)
+        else:  # h_0 = 0: the pre-activations are the input projection alone
+            np.tanh(zx_t, out=z)
+        z *= scale
+        z += offset
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += i_t * g_t
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o_t, tanh_c_t, out=h_t)
+    return h[1:].transpose(1, 0, 2), LstmCache(xs, w_x, w_h, gates, c, tanh_c, h)
 
 
 def lstm_backward(
@@ -359,25 +413,27 @@ def lstm_backward(
 
     # the loop only carries the recurrence; every weight gradient is one
     # GEMM over all timesteps afterwards
+    i, f, g, o = _gate_views(cache.gates, hidden)
+    per_step = enumerate(zip(grad_hs.transpose(1, 0, 2), i, f, g, o, cache.c, cache.tanh_c))
     dz = np.empty((batch, steps, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
-    for t in reversed(range(steps)):
-        st = cache.steps[t]
-        dh = grad_hs[:, t] + dh_next
-        do = dh * st.tanh_c
-        dc = dc_next + dh * st.o * (1.0 - st.tanh_c**2)
-        di = dc * st.g
-        dg = dc * st.i
-        df = dc * st.c_prev
-        dc_next = dc * st.f
-        dz[:, t, :hidden] = di * st.i * (1.0 - st.i)
-        dz[:, t, hidden : 2 * hidden] = df * st.f * (1.0 - st.f)
-        dz[:, t, 2 * hidden : 3 * hidden] = dg * (1.0 - st.g**2)
-        dz[:, t, 3 * hidden :] = do * st.o * (1.0 - st.o)
-        dh_next = dz[:, t] @ cache.w_h.T
+    for t, (grad_h, i_t, f_t, g_t, o_t, c_prev, tanh_c) in reversed(list(per_step)):
+        dh = grad_h + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o_t * (1.0 - tanh_c**2)
+        di = dc * g_t
+        dg = dc * i_t
+        df = dc * c_prev
+        dc_next = dc * f_t
+        dz_t = dz[:, t]
+        dz_t[:, :hidden] = di * i_t * (1.0 - i_t)
+        dz_t[:, hidden : 2 * hidden] = df * f_t * (1.0 - f_t)
+        dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g_t**2)
+        dz_t[:, 3 * hidden :] = do * o_t * (1.0 - o_t)
+        dh_next = dz_t @ cache.w_h.T
     dz_rows = dz.reshape(batch * steps, 4 * hidden)
-    h_prev = np.stack([st.h_prev for st in cache.steps], axis=1).reshape(batch * steps, hidden)
+    h_prev = cache.h[:-1].transpose(1, 0, 2).reshape(batch * steps, hidden)
     grad_xs = (dz_rows @ cache.w_x.T).reshape(batch, steps, dim)
     grad_wx = cache.xs.reshape(batch * steps, dim).T @ dz_rows
     grad_wh = h_prev.T @ dz_rows

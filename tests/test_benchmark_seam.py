@@ -54,3 +54,26 @@ def test_predict_dataset_takes_the_chunk_keyword():
     for model in (models.CnnPredictor.initialize(0), models.LstmPredictor.initialize(0)):
         preds = model.predict_dataset(dataset, chunk=64)
         assert preds.shape == (dataset.z,) and np.all((preds > 0) & (preds < 1))
+
+
+def test_traced_hooks_read_the_kernel_caches(monkeypatch):
+    # the wrappers' hooks read ConvCache.cols, .w_mat and .in_shape,
+    # DenseCache.x and LstmCache.steps[0].h_prev; they run only inside a
+    # traced operation, at batch 32 (training) and at batch 1 (a node)
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    rng = np.random.default_rng(1)
+    matrices = rng.uniform(0, 1, size=(32, 9, 5))
+    day, time_v = rng.uniform(0, 1, size=(2, 32))
+    traced = tracer.Tracer()
+    with layers.installed(traced), traced.operation():
+        for model in (models.CnnPredictor.initialize(0), models.LstmPredictor.initialize(0)):
+            preds, cache = model.forward_batch(matrices, day, time_v)
+            model.backward_batch(rng.normal(size=preds.shape), cache)
+            model.predict(matrices[0], day[0], time_v[0])
+    metrics = layers.metrics(tracer.SpanSummary(traced))
+    for name in ("nn.conv2d_forward.b32_gflops", "nn.conv2d_backward.b32_gflops", "nn.conv2d_forward.b1_us",
+                 "nn.dense_backward.b32_us", "nn.lstm_forward.b1_us", "nn.lstm_backward.b32_us",
+                 "models.cnn.predict.b1_p50_us", "models.lstm.predict.b1_p50_us"):
+        assert metrics[name] > 0, name

@@ -205,6 +205,8 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "noise_sd": 0.1}, SYNTH, "profile has no field 'noise_sd'"),
     ({**TINY_PROFILE, "days": "2"}, SYNTH, "SynthJob.days must be of type"),
     ({**TINY_PROFILE, "start": 5}, SYNTH, "start must be an ISO timestamp string"),
+    ({**TINY_PROFILE, "start": "not-a-date"}, SYNTH, "start must be an ISO timestamp string, got 'not-a-date'"),
+    ({key: v for key, v in TINY_PROFILE.items() if key != "days"}, SYNTH, "lacks the required field 'days'"),
     ({**TINY_PROFILE, "network": [1]}, SYNTH, "network must be a JSON object"),
     ({**TINY_PROFILE, "network": 5}, SYNTH, "network must be a JSON object"),
     ({key: v for key, v in TINY_PROFILE.items() if key != "network"}, SYNTH, "network must be a JSON object"),

@@ -478,6 +478,19 @@ def test_profile_network_as_an_explicit_point_list(tmp_path):
     assert job.start == datetime(2024, 1, 1)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"days": None}, r"profile .*profile\.json lacks the required field 'days'"),
+    ({"start": "not-a-date"}, "start must be an ISO timestamp string, got 'not-a-date'"),
+], ids=["missing-days", "bad-start"])
+def test_profile_without_days_or_with_a_bad_start_names_the_field(tmp_path, change, message):
+    doc = {"network": {"points": 9}, "days": 1}
+    doc = {key: value for key, value in {**doc, **change}.items() if value is not None}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        ingestion.load_profile(path)
+
+
 # ---------------------------------------------------------------------------
 # dataset round trip
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficflow import core, ingestion, models, nn
@@ -230,6 +230,25 @@ def test_predict_dataset_is_independent_of_chunk_size():
         np.testing.assert_allclose(default[sample], single, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind,calls", [
+    ("cnn", {"conv2d_forward": 2, "dense_forward": 2, "lstm_forward": 0}),
+    ("lstm", {"conv2d_forward": 0, "dense_forward": 1, "lstm_forward": 2}),
+])
+def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
+    # a node's predict goes through the kernels that training and
+    # predict_dataset run, each with a batch of one: a predict-only forward
+    # would fork the arithmetic that the 1e-12 bounds tie together
+    batches = {name: [] for name in calls}
+    for name in calls:
+        def counting(x, *args, _original=getattr(nn, name), _batches=batches[name], **kwargs):
+            _batches.append(np.shape(x)[0])
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, name, counting)
+    models.KINDS[kind].initialize(4).predict(_random_snapshots(1, seed=9)[0], 0.5, 0.25)
+    assert batches == {name: [1] * count for name, count in calls.items()}
+
+
 # ---------------------------------------------------------------------------
 # the CNN's grid path against the per-snapshot path
 
@@ -276,6 +295,24 @@ def test_cnn_predict_dataset_matches_the_per_snapshot_path(dataset, mode, chunk)
     preds = model.predict_dataset(dataset, chunk=chunk or dataset.z)
     np.testing.assert_allclose(preds, _row_path(model, dataset), rtol=0, atol=1e-12)
     _assert_fresh(preds, model, dataset)
+
+
+@given(
+    dataset=_cnn_datasets(),
+    which=st.sampled_from([("cnn", "none"), ("cnn", "concat"), ("lstm", None)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30)
+def test_batch_one_predict_matches_predict_dataset(dataset, which, seed):
+    kind, mode = which
+    named = {} if mode is None else {"context_mode": mode}
+    rng = np.random.default_rng(seed)
+    base = models.KINDS[kind].initialize(0, **named).params
+    model = models.KINDS[kind]({name: a + rng.normal(scale=0.3, size=a.shape) for name, a in base.items()}, **named)
+    rows = rng.choice(dataset.z, size=min(dataset.z, 40), replace=False)
+    day, time_v = dataset.context()
+    single = [model.predict(m, day[k], time_v[k]) for m, k in zip(dataset.matrices(rows), rows)]
+    np.testing.assert_allclose(single, model.predict_dataset(dataset)[rows], rtol=0, atol=1e-12)
 
 
 def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():

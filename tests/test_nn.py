@@ -273,24 +273,26 @@ def test_lstm_gates_equal_sigmoid_of_unscaled_preactivations():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_lstm_bptt_gradients_match_finite_differences(seed):
-    rng = np.random.default_rng(3000 + seed)
-    batch, steps, dim, hidden = 2, 5, 3, 4
-    xs = rng.normal(size=(batch, steps, dim))
-    wx = rng.normal(size=(dim, 4 * hidden)) * 0.6
-    wh = rng.normal(size=(hidden, 4 * hidden)) * 0.6
-    b = rng.normal(size=4 * hidden) * 0.3
-    hs, cache = nn.lstm_forward(xs, wx, wh, b)
-    coef = rng.normal(size=hs.shape)
+    # batch 1 is the node path; one step runs no recurrent product
+    for batch, steps in ((2, 5), (1, 5), (2, 1)):
+        rng = np.random.default_rng(3000 + seed)
+        dim, hidden = 3, 4
+        xs = rng.normal(size=(batch, steps, dim))
+        wx = rng.normal(size=(dim, 4 * hidden)) * 0.6
+        wh = rng.normal(size=(hidden, 4 * hidden)) * 0.6
+        b = rng.normal(size=4 * hidden) * 0.3
+        hs, cache = nn.lstm_forward(xs, wx, wh, b)
+        coef = rng.normal(size=hs.shape)
 
-    def objective():
-        out, _ = nn.lstm_forward(xs, wx, wh, b)
-        return float(np.sum(out * coef))
+        def objective():
+            out, _ = nn.lstm_forward(xs, wx, wh, b)
+            return float(np.sum(out * coef))
 
-    gxs, gwx, gwh, gb = nn.lstm_backward(coef, cache)
-    assert rel_err(gxs, central_diff(objective, xs)) < 1e-5
-    assert rel_err(gwx, central_diff(objective, wx)) < 1e-5
-    assert rel_err(gwh, central_diff(objective, wh)) < 1e-5
-    assert rel_err(gb, central_diff(objective, b)) < 1e-5
+        gxs, gwx, gwh, gb = nn.lstm_backward(coef, cache)
+        assert rel_err(gxs, central_diff(objective, xs)) < 1e-5, (batch, steps)
+        assert rel_err(gwx, central_diff(objective, wx)) < 1e-5, (batch, steps)
+        assert rel_err(gwh, central_diff(objective, wh)) < 1e-5, (batch, steps)
+        assert rel_err(gb, central_diff(objective, b)) < 1e-5, (batch, steps)
 
 
 # ---------------------------------------------------------------------------
