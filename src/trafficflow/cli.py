@@ -62,8 +62,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if not raw_series:
         print("error: input file contains no data rows", file=sys.stderr)
         return 1
-    span_start = min(s.samples[0][0] for s in raw_series)
-    span_end = max(s.samples[-1][0] for s in raw_series)
+    span_start = min(s.samples["time"][0] for s in raw_series).item()
+    span_end = max(s.samples["time"][-1] for s in raw_series).item()
     cleaned = [ingestion.clean(s, cfg, span=(span_start, span_end)) for s in raw_series]
     dataset = ingestion.window(cleaned, spec, cfg)
     ingestion.save_dataset(dataset, args.out)

@@ -7,8 +7,11 @@ the detectors, then one row per measurement:
     ...
     <id>,<ISO-8601 local timestamp>,<avg_speed>
 
-Missing time slots are simply absent rows.  Cleaning fills interior gaps by
-linear interpolation (a single missing slot gets the mean of its two
+Missing time slots are simply absent rows.  The parser reads the file line
+by line into one column of timestamps and one of speeds per detector; a
+timestamp text is parsed once per file, and its repeats on other rows reuse
+the result.  Cleaning, array arithmetic over those columns, fills interior
+gaps by linear interpolation (a single missing slot gets the mean of its two
 neighbours), converts speeds to conditions ``min(1, speed / speed_limit)``,
 and refuses to extrapolate over leading or trailing gaps.  Windowing stacks
 the aligned series into one condition grid and addresses one snapshot per
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
@@ -111,19 +115,38 @@ class MisalignedSeriesError(ValueError):
 # series types
 
 
-@dataclass(frozen=True)
+# one raw sample: its timestamp (naive local time) and its average speed
+_SAMPLE = np.dtype([("time", "datetime64[us]"), ("speed", np.float64)])
+
+
+@dataclass(frozen=True, eq=False)
 class RawSeries:
-    """Sorted (timestamp, average speed) samples of one detector."""
+    """The samples of one detector, in strictly increasing time order.
+
+    ``samples`` is a read-only structured array, one entry per data row,
+    with fields ``time`` (datetime64[us]) and ``speed`` (float64, finite and
+    >= 0); a sequence of (datetime, speed) pairs is converted to it.  Two
+    series compare equal only when they are one object: compare their
+    samples with ``np.array_equal``.
+    """
 
     point: PointId
-    samples: tuple[tuple[datetime, float], ...]
+    samples: np.ndarray
     speed_limit: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        stamps = [ts for ts, _ in self.samples]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
+        samples = self.samples
+        if not isinstance(samples, np.ndarray):
+            samples = list(samples)  # numpy would read an outer tuple as one record
+        samples = _read_only(np.asarray(samples, dtype=_SAMPLE))
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1:
+            raise ValueError(f"{self.point.id}: samples must be a sequence of (time, speed) pairs")
+        times, speeds = samples["time"], samples["speed"]
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError(f"{self.point.id}: timestamps must be strictly increasing")
+        if not np.all(np.isfinite(speeds) & (speeds >= 0.0)):
+            raise ValueError(f"{self.point.id}: speeds must be finite and >= 0")
         if self.speed_limit <= 0:
             raise ValueError("speed limit must be positive")
 
@@ -155,10 +178,19 @@ class CleanSeries:
 # raw file parsing
 
 
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
 def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[RawSeries]]:
     manifest: dict[str, tuple[int, float]] = {}
     orders_seen: set[int] = set()
-    rows: dict[str, list[tuple[datetime, float, int]]] = {}
+    # per declared detector: the microseconds, speeds and line numbers of its rows
+    columns: dict[str, tuple[list[int], list[float], list[int]]] = {}
+    # stamp text -> microseconds since the epoch.  Only a text that parsed as
+    # a naive timestamp enters, so the texts accepted and every error with
+    # its line number stay those of fromisoformat on each line.
+    stamps: dict[str, int] = {}
 
     for line_no, raw_line in enumerate(handle, start=1):
         line = raw_line.strip()
@@ -181,6 +213,7 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
             if order in orders_seen:
                 raise FormatError(line_no, f"duplicate order_index {order} in manifest")
             manifest[det_id] = (order, limit)
+            columns[det_id] = ([], [], [])
             orders_seen.add(order)
             continue
         if line.startswith("#"):
@@ -189,21 +222,27 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
         if len(parts) != 3:
             raise FormatError(line_no, f"data row needs 3 fields, got {len(parts)}")
         det_id, ts_text, speed_text = parts
-        if det_id not in manifest:
+        det = columns.get(det_id)
+        if det is None:
             raise UnknownDetectorError(line_no, det_id)
-        try:
-            ts = datetime.fromisoformat(ts_text)
-        except ValueError:
-            raise FormatError(line_no, f"bad timestamp {ts_text!r}") from None
-        if ts.tzinfo is not None:
-            raise FormatError(line_no, "timestamps must be timezone-naive local time")
+        micros = stamps.get(ts_text)
+        if micros is None:
+            try:
+                ts = datetime.fromisoformat(ts_text)
+            except ValueError:
+                raise FormatError(line_no, f"bad timestamp {ts_text!r}") from None
+            if ts.tzinfo is not None:
+                raise FormatError(line_no, "timestamps must be timezone-naive local time")
+            micros = stamps[ts_text] = (ts - _EPOCH) // _MICROSECOND
         try:
             speed = float(speed_text)
         except ValueError:
             raise FormatError(line_no, f"bad speed {speed_text!r}") from None
-        if not np.isfinite(speed) or speed < 0:
+        if not math.isfinite(speed) or speed < 0:
             raise FormatError(line_no, f"speed must be finite and >= 0, got {speed}")
-        rows.setdefault(det_id, []).append((ts, speed, line_no))
+        det[0].append(micros)
+        det[1].append(speed)
+        det[2].append(line_no)
 
     entries = sorted(
         ((det_id, order, limit) for det_id, (order, limit) in manifest.items()),
@@ -211,20 +250,21 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
     )
     series: list[RawSeries] = []
     for det_id, order, limit in entries:
-        det_rows = rows.get(det_id)
-        if not det_rows:
+        micros, speeds, lines = columns[det_id]
+        if not micros:
             continue
-        det_rows.sort(key=lambda r: r[0])
-        for (ts_a, _, _), (ts_b, _, line_b) in zip(det_rows, det_rows[1:]):
-            if ts_b == ts_a:
-                raise FormatError(line_b, f"duplicate timestamp {ts_b} for {det_id!r}")
-        series.append(
-            RawSeries(
-                point=PointId(det_id, order),
-                samples=tuple((ts, speed) for ts, speed, _ in det_rows),
-                speed_limit=limit,
-            )
-        )
+        micros = np.array(micros, dtype=np.int64)
+        by_time = np.argsort(micros, kind="stable")  # stable: a repeat reports its later line
+        samples = np.empty(len(micros), dtype=_SAMPLE)
+        samples["time"] = micros[by_time].view("datetime64[us]")
+        samples["speed"] = np.array(speeds)[by_time]
+        times = samples["time"]
+        repeats = np.flatnonzero(times[1:] == times[:-1]) + 1
+        if repeats.size:
+            i = repeats[0]
+            raise FormatError(lines[by_time[i]], f"duplicate timestamp {times[i].item()} for {det_id!r}")
+        samples.flags.writeable = False
+        series.append(RawSeries(point=PointId(det_id, order), samples=samples, speed_limit=limit))
     return entries, series
 
 
@@ -255,7 +295,7 @@ def write_raw_file(path: str | Path, series: Sequence[RawSeries]) -> None:
     for s in sorted(series, key=lambda s: s.point.order_index):
         buf.write(f"#point,{s.point.id},{s.point.order_index},{s.speed_limit!r}\n")
     for s in sorted(series, key=lambda s: s.point.order_index):
-        for ts, speed in s.samples:
+        for ts, speed in zip(s.samples["time"].tolist(), s.samples["speed"].tolist()):
             buf.write(f"{s.point.id},{ts.isoformat()},{speed!r}\n")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
@@ -277,11 +317,11 @@ def clean(
     the expected first/last slot; a series starting late or ending early
     raises LeadingGapError / TrailingGapError rather than extrapolating.
     """
-    if not series.samples:
+    samples = series.samples
+    if not len(samples):
         raise ValueError("cannot clean an empty series")
-    step = timedelta(minutes=cfg.step_minutes)
-    first_ts = series.samples[0][0]
-    last_ts = series.samples[-1][0]
+    times = samples["time"]
+    first_ts, last_ts = times[0].item(), times[-1].item()
     start, end = span if span is not None else (first_ts, last_ts)
     if first_ts > start:
         raise LeadingGapError(f"{series.point.id}: first sample {first_ts} after span start {start}")
@@ -290,25 +330,18 @@ def clean(
     if first_ts < start or last_ts > end:
         raise ValueError(f"{series.point.id}: samples outside the requested span")
 
-    span_span = end - start
-    n_steps, rem = divmod(span_span, step)
+    n_steps, rem = divmod(end - start, timedelta(minutes=cfg.step_minutes))
     if rem:
         raise MisalignedSeriesError(f"span {start}..{end} not a multiple of {cfg.step_minutes} min")
-    n_slots = int(n_steps) + 1
 
-    values = np.full(n_slots, np.nan)
-    for ts, speed in series.samples:
-        offset, rem = divmod(ts - start, step)
-        if rem:
-            raise MisalignedSeriesError(f"{series.point.id}: sample at {ts} off the slot grid")
-        values[int(offset)] = min(1.0, speed / series.speed_limit)
-
-    # the first and last slots hold samples, so every gap is interior
-    missing = np.isnan(values)
-    if missing.any():
-        present = np.flatnonzero(~missing)
-        values[missing] = np.interp(np.flatnonzero(missing), present, values[present])
-
+    offset, rem = np.divmod(times - np.datetime64(start, "us"), np.timedelta64(cfg.step_minutes, "m"))
+    off_grid = np.flatnonzero(rem)
+    if off_grid.size:
+        raise MisalignedSeriesError(f"{series.point.id}: sample at {times[off_grid[0]].item()} off the slot grid")
+    conditions = np.minimum(1.0, samples["speed"] / series.speed_limit)
+    # the first and last slots hold samples, so every gap is interior; at a
+    # slot that holds a sample, np.interp returns that sample's condition
+    values = np.interp(np.arange(int(n_steps) + 1), offset, conditions)
     return CleanSeries(point=series.point, values=values, start=start, step_minutes=cfg.step_minutes)
 
 

@@ -96,6 +96,10 @@ class Node:
     copy never overwrites newer data, and a repeat of the same (sender,
     tick) overwrites it, so the last one wins.  A reading of tick t arrives
     no earlier than tick t, when its sender publishes it.
+
+    ``observe`` and ``receive`` raise ValueError, naming the node, the
+    sender and the tick, for a condition that is not a number in [0, 1]
+    (NaN and infinities included); the buffer is left as it was.
     """
 
     def __init__(self, point: PointId, rows: Sequence[PointId], model, cfg: SnapshotConfig):
@@ -119,6 +123,10 @@ class Node:
         self._store(self._row[message.from_point.id], message.tick, message.condition)
 
     def _store(self, row: int, tick: int, condition: float) -> None:
+        if not 0.0 <= condition <= 1.0:  # false for NaN too
+            raise ValueError(
+                f"{self.point.id}: condition {condition} from {self.row_ids[row]} at tick {tick} is not in [0, 1]"
+            )
         slot = tick % self._span
         if tick >= self._stamps[row, slot]:
             self._stamps[row, slot] = tick

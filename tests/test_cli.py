@@ -147,6 +147,25 @@ def test_ingest_reports_format_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    # b starts a slot after the file's span does
+    (["a,2024-01-01T00:00:00,50", "a,2024-01-01T00:05:00,50", "b,2024-01-01T00:05:00,50"],
+     "b: first sample 2024-01-01 00:05:00 after span start 2024-01-01 00:00:00"),
+    (["a,2024-01-01T00:00:00,50", "a,2024-01-01T00:05:00,50", "b,2024-01-01T00:00:00,50"],
+     "b: last sample 2024-01-01 00:00:00 before span end 2024-01-01 00:05:00"),
+    (["a,2024-01-01T00:00:00,50", "a,2024-01-01T00:07:30,50", "a,2024-01-01T00:10:00,50"],
+     "a: sample at 2024-01-01 00:07:30 off the slot grid"),
+    (["a,2024-01-01T00:05:00,50", "a,2024-01-01 00:05:00,51"],
+     "line 4: duplicate timestamp 2024-01-01 00:05:00 for 'a'"),
+])
+def test_ingest_error_line_prints_timestamps_as_datetimes(tmp_path, capsys, rows, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(["#point,a,0,60", "#point,b,1,60", *rows]) + "\n")
+    argv = ["ingest", "--input", str(bad), "--config", "step_minutes=5", "--out", str(tmp_path / "o.tfds")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_train_config_file_precedence(tmp_path, profile_path):
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])

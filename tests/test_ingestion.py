@@ -33,6 +33,13 @@ P0 = core.PointId("d000", 0)
 # parsing
 
 
+def _assert_same_series(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.point == w.point and g.speed_limit == w.speed_limit
+        assert np.array_equal(g.samples, w.samples)
+
+
 def _file_text(manifest, rows):
     lines = [f"#point,{pid},{order},{limit}" for pid, order, limit in manifest]
     lines += [f"{pid},{ts},{speed}" for pid, ts, speed in rows]
@@ -69,7 +76,7 @@ def test_parse_shuffled_rows_equal_sorted_rows():
     manifest = [("a", 0, 60.0)]
     shuffled = ingestion.read_detector_file(io.StringIO(_file_text(manifest, rows)))[1]
     ordered = ingestion.read_detector_file(io.StringIO(_file_text(manifest, sorted(rows, key=lambda r: r[1]))))[1]
-    assert shuffled == ordered
+    _assert_same_series(shuffled, ordered)
 
 
 @pytest.mark.parametrize("bad_line,match", [
@@ -89,13 +96,18 @@ def test_parse_format_errors_carry_line_numbers(bad_line, match):
     assert err.value.line == 2
 
 
-def test_parse_duplicate_timestamp():
-    text = _file_text([("a", 0, 60.0)], [
-        ("a", "2024-01-01T00:00:00", 50.0),
-        ("a", "2024-01-01T00:00:00", 51.0),
-    ])
-    with pytest.raises(ingestion.FormatError, match="duplicate timestamp"):
+@pytest.mark.parametrize("stamps,line,printed", [
+    (["2024-01-01T00:00:00", "2024-01-01T00:00:00"], 3, "2024-01-01 00:00:00"),
+    # one instant written two ways; the later line is the repeat, in file order
+    (["2024-01-01T00:10:00", "2024-01-01T00:05:00", "20240101T001000"], 4, "2024-01-01 00:10:00"),
+    (["2024-01-01T00:00:00.250000", "2024-01-01 00:00:00.25"], 3, "2024-01-01 00:00:00.250000"),
+])
+def test_parse_duplicate_timestamp(stamps, line, printed):
+    text = _file_text([("a", 0, 60.0)], [("a", ts, 50.0) for ts in stamps])
+    with pytest.raises(ingestion.FormatError) as err:
         ingestion.read_detector_file(io.StringIO(text))[1]
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: duplicate timestamp {printed} for 'a'"
 
 
 def test_parse_unknown_detector():
@@ -114,7 +126,45 @@ def test_read_detector_file_builds_network(tmp_path):
     ingestion.write_raw_file(path, series_in)
     spec, series_out = ingestion.read_detector_file(path, n_in=1, m_out=0)
     assert spec.speed_limits == (60.0, 50.0)
-    assert series_out == series_in
+    _assert_same_series(series_out, series_in)
+
+
+def test_write_raw_file_reproduces_a_parsed_file(tmp_path):
+    # the writer's canonical form: manifest by order, then rows by point and time
+    text = (
+        "#point,a,0,60.0\n#point,b,1,55.5\n"
+        "a,2024-01-01T00:00:00,62.008452077001856\n"
+        "a,2024-01-01T00:05:00,0.1\n"
+        "a,2024-01-01T00:10:00.250000,1e-05\n"
+        "b,2024-01-01T00:00:00,55.5\n"
+        "b,2024-01-01T00:15:00,0.0\n"
+    )
+    source = tmp_path / "in.csv"
+    source.write_text(text, encoding="utf-8")
+    copy = tmp_path / "out.csv"
+    ingestion.write_raw_file(copy, ingestion.read_detector_file(source)[1])
+    assert copy.read_bytes() == source.read_bytes()
+
+
+def test_raw_series_samples_are_a_read_only_column_pair():
+    series = _raw(P0, [(START, 30.0), (START + timedelta(minutes=5), 40.0)])
+    assert series.samples.dtype.names == ("time", "speed")
+    assert series.samples["time"].tolist() == [START, START + timedelta(minutes=5)]
+    assert series.samples["speed"].tolist() == [30.0, 40.0]
+    with pytest.raises(ValueError):
+        series.samples["speed"][0] = 1.0
+
+
+@pytest.mark.parametrize("samples,match", [
+    ([(START, 30.0), (START, 40.0)], "strictly increasing"),
+    ([(START + timedelta(minutes=5), 30.0), (START, 40.0)], "strictly increasing"),
+    ([(START, float("nan"))], "finite"),
+    ([(START, float("inf"))], "finite"),
+    ([(START, -1.0)], ">= 0"),
+])
+def test_raw_series_rejects_bad_samples(samples, match):
+    with pytest.raises(ValueError, match=match):
+        _raw(P0, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +206,22 @@ def test_clean_leading_and_trailing_gap_errors():
     cfg = core.SnapshotConfig(step_minutes=5)
     series = _raw(P0, [(START + timedelta(minutes=5), 50.0)], limit=100.0)
     span = (START, START + timedelta(minutes=5))
-    with pytest.raises(ingestion.LeadingGapError):
+    with pytest.raises(ingestion.LeadingGapError) as err:
         ingestion.clean(series, cfg, span=span)
+    assert str(err.value) == "d000: first sample 2024-01-01 00:05:00 after span start 2024-01-01 00:00:00"
     span = (START + timedelta(minutes=5), START + timedelta(minutes=10))
-    with pytest.raises(ingestion.TrailingGapError):
+    with pytest.raises(ingestion.TrailingGapError) as err:
         ingestion.clean(series, cfg, span=span)
+    assert str(err.value) == "d000: last sample 2024-01-01 00:05:00 before span end 2024-01-01 00:10:00"
 
 
 def test_clean_off_grid_sample():
     cfg = core.SnapshotConfig(step_minutes=5)
-    series = _raw(P0, [(START, 50.0), (START + timedelta(minutes=7), 50.0)], limit=100.0)
-    with pytest.raises(ingestion.MisalignedSeriesError):
+    stamps = [START, START + timedelta(minutes=7, microseconds=500), START + timedelta(minutes=10)]
+    series = _raw(P0, [(ts, 50.0) for ts in stamps], limit=100.0)
+    with pytest.raises(ingestion.MisalignedSeriesError) as err:
         ingestion.clean(series, cfg)
+    assert str(err.value) == "d000: sample at 2024-01-01 00:07:00.000500 off the slot grid"
 
 
 def test_clean_is_idempotent_on_its_own_output():
@@ -180,6 +234,154 @@ def test_clean_is_idempotent_on_its_own_output():
     second = ingestion.clean(_raw(P0, zip(stamps, first.values.tolist()), limit=1.0), cfg)
     np.testing.assert_array_equal(first.values, second.values)
     assert first.start == second.start
+
+
+# ---------------------------------------------------------------------------
+# differential test against a per-row parser and cleaner
+
+
+def _reference_parse(text):
+    """The parser as one (datetime, speed, line) tuple per row; manifests are well-formed."""
+    manifest, rows = {}, {}
+    for line_no, raw_line in enumerate(io.StringIO(text), start=1):
+        line = raw_line.strip()
+        if line.startswith("#point,"):
+            _, det_id, order, limit = line.split(",")
+            manifest[det_id] = (int(order), float(limit))
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ingestion.FormatError(line_no, f"data row needs 3 fields, got {len(parts)}")
+        det_id, ts_text, speed_text = parts
+        if det_id not in manifest:
+            raise ingestion.UnknownDetectorError(line_no, det_id)
+        try:
+            ts = datetime.fromisoformat(ts_text)
+        except ValueError:
+            raise ingestion.FormatError(line_no, f"bad timestamp {ts_text!r}") from None
+        if ts.tzinfo is not None:
+            raise ingestion.FormatError(line_no, "timestamps must be timezone-naive local time")
+        try:
+            speed = float(speed_text)
+        except ValueError:
+            raise ingestion.FormatError(line_no, f"bad speed {speed_text!r}") from None
+        if not np.isfinite(speed) or speed < 0:
+            raise ingestion.FormatError(line_no, f"speed must be finite and >= 0, got {speed}")
+        rows.setdefault(det_id, []).append((ts, speed, line_no))
+    series = []
+    for det_id, (order, limit) in sorted(manifest.items(), key=lambda e: e[1][0]):
+        det_rows = sorted(rows.get(det_id, []), key=lambda r: r[0])
+        for (ts_a, _, _), (ts_b, _, line_b) in zip(det_rows, det_rows[1:]):
+            if ts_b == ts_a:
+                raise ingestion.FormatError(line_b, f"duplicate timestamp {ts_b} for {det_id!r}")
+        if det_rows:
+            series.append((core.PointId(det_id, order), [(ts, speed) for ts, speed, _ in det_rows], limit))
+    return series
+
+
+def _reference_clean(point, samples, limit, step_minutes, start, end):
+    """Cleaning one sample at a time, over the span the CLI gives every series."""
+    if samples[0][0] > start:
+        raise ingestion.LeadingGapError(f"{point.id}: first sample {samples[0][0]} after span start {start}")
+    if samples[-1][0] < end:
+        raise ingestion.TrailingGapError(f"{point.id}: last sample {samples[-1][0]} before span end {end}")
+    step = timedelta(minutes=step_minutes)
+    n_steps, rem = divmod(end - start, step)
+    if rem:
+        raise ingestion.MisalignedSeriesError(f"span {start}..{end} not a multiple of {step_minutes} min")
+    values = np.full(n_steps + 1, np.nan)
+    for ts, speed in samples:
+        offset, rem = divmod(ts - start, step)
+        if rem:
+            raise ingestion.MisalignedSeriesError(f"{point.id}: sample at {ts} off the slot grid")
+        values[offset] = min(1.0, speed / limit)
+    missing = np.isnan(values)
+    if missing.any():
+        present = np.flatnonzero(~missing)
+        values[missing] = np.interp(np.flatnonzero(missing), present, values[present])
+    return values
+
+
+_ERRORS = (
+    ingestion.FormatError, ingestion.UnknownDetectorError, ingestion.LeadingGapError,
+    ingestion.TrailingGapError, ingestion.MisalignedSeriesError,
+)
+
+
+def _outcome(parse_and_clean, text):
+    """The points, samples and grid rows bit for bit, or the error's class, line and text."""
+    try:
+        return parse_and_clean(text)
+    except _ERRORS as err:
+        return type(err), getattr(err, "line", None), str(err)
+
+
+def _reference_outcome(text):
+    series = _reference_parse(text)
+    if not series:
+        return []
+    start = min(samples[0][0] for _, samples, _ in series)
+    end = max(samples[-1][0] for _, samples, _ in series)
+    return [
+        (point, [ts for ts, _ in samples], np.array([v for _, v in samples]).tobytes(), limit,
+         _reference_clean(point, samples, limit, 5, start, end).tobytes())
+        for point, samples, limit in series
+    ]
+
+
+def _columnar_outcome(text):
+    series = ingestion.read_detector_file(io.StringIO(text))[1]
+    if not series:
+        return []
+    start = min(s.samples["time"][0] for s in series).item()
+    end = max(s.samples["time"][-1] for s in series).item()
+    cfg = core.SnapshotConfig(step_minutes=5)
+    return [
+        (s.point, s.samples["time"].tolist(), s.samples["speed"].tobytes(), s.speed_limit,
+         ingestion.clean(s, cfg, span=(start, end)).values.tobytes())
+        for s in series
+    ]
+
+
+def _stamp_texts(slot):
+    ts = START + timedelta(minutes=5 * slot)
+    return (ts.isoformat(), str(ts), ts.strftime("%Y%m%dT%H%M%S"), ts.isoformat(timespec="microseconds"))
+
+
+_GOOD_SPEEDS = ("55.5", "30", "0", "-0.0", "80.25", "1e2", "12.345678901234567")
+_BAD_ROWS = (
+    ("x", "2024-01-01T00:00:00", "50"),  # unknown detector
+    ("d0", "not-a-time", "50"),
+    ("d0", "2024-01-01T00:05:00+01:00", "50"),  # an offset numpy would convert
+    ("d0", "2024-01-01T00:07:00", "50"),  # off the 5-minute grid
+    ("d0", "2024-01-01T00:05:00,1", "50"),  # a fourth field
+    ("d0", "2024-01-01T00:05:00", "nan"),
+    ("d0", "2024-01-01T00:05:00", "-1"),
+    ("d0", "2024-01-01T00:05:00", "inf"),
+    ("d0", "2024-01-01T00:05:00", "fast"),
+)
+
+
+@st.composite
+def _raw_files(draw):
+    limits = draw(st.lists(st.sampled_from(("60.0", "50.5", "1.0")), min_size=1, max_size=3))
+    pad = draw(st.booleans())  # every detector spans slots 0..7, so the file cleans
+    rows = []
+    for k in range(len(limits)):
+        slots = draw(st.sets(st.integers(0, 7), min_size=0 if k else 1)) | ({0, 7} if pad else set())
+        rows += [(f"d{k}", draw(st.sampled_from(_stamp_texts(t))), draw(st.sampled_from(_GOOD_SPEEDS)))
+                 for t in sorted(slots)]
+    rows += draw(st.lists(st.sampled_from(_BAD_ROWS), max_size=1))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=1))  # a repeated stamp
+    rows = draw(st.permutations(rows))
+    lines = [f"#point,d{k},{k},{limit}" for k, limit in enumerate(limits)]
+    return "\n".join(lines + [",".join(row) for row in rows]) + "\n"
+
+
+@given(text=_raw_files())
+@settings(max_examples=300, deadline=None)
+def test_columnar_ingest_matches_the_per_row_reference(text):
+    assert _outcome(_columnar_outcome, text) == _outcome(_reference_outcome, text)
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,10 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
                 node.receive(simulation.ConditionMessage(p, tick, START, value))
 
     for tick in range(cfg.cols + 1):
-        deliver(tick, float(tick))
+        deliver(tick, tick / 10)
     last = cfg.cols  # window 1 .. cols; tick 0 has left it
     assert node.step(last, START).prediction == 0.5
-    np.testing.assert_array_equal(recorder.matrix[0], np.arange(1.0, last + 1))
+    np.testing.assert_array_equal(recorder.matrix[0], np.arange(1, last + 1) / 10)
 
     # a late copy of tick 0 shares its slot with tick cols: ignored
     node.receive(simulation.ConditionMessage(sender, 0, START, 0.25))
@@ -283,5 +283,48 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
     node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.75))
     node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.125))
     assert node.step(last, START).prediction == 0.5
-    assert recorder.matrix[0].tolist() == [*range(1, last - 1), 0.125, last]
-    assert recorder.matrix[1:].tolist() == [list(map(float, range(1, last + 1)))] * (len(rows) - 1)
+    assert recorder.matrix[0].tolist() == [*(t / 10 for t in range(1, last - 1)), 0.125, last / 10]
+    assert recorder.matrix[1:].tolist() == [[t / 10 for t in range(1, last + 1)]] * (len(rows) - 1)
+
+
+def _node_and_sender(own):
+    spec, cfg, _ = _world()
+    point = core.eligible_points(spec, cfg)[0]
+    rows = core.neighbor_rows(spec, point, cfg)
+    node = simulation.Node(point, rows, _Recorder(), cfg)
+    return node, rows, point if own else next(p for p in rows if p.id != point.id)
+
+
+def _send(node, sender, tick, condition):
+    if sender == node.point:
+        node.observe(tick, condition)
+    else:
+        node.receive(simulation.ConditionMessage(sender, tick, START, condition))
+
+
+@pytest.mark.parametrize("condition", [float("nan"), float("inf"), -float("inf"), 7.0, -0.25, 1.0 + 1e-12])
+@pytest.mark.parametrize("own", [True, False], ids=["observe", "receive"])
+def test_node_refuses_a_condition_outside_the_unit_interval(condition, own):
+    node, rows, sender = _node_and_sender(own)
+    span = node.cfg.cols
+    for tick in range(span):
+        for p in rows:
+            _send(node, p, tick, 0.5)
+    tick = span - 1
+    with pytest.raises(ValueError) as err:
+        _send(node, sender, tick, condition)
+    assert str(err.value) == f"{node.point.id}: condition {condition} from {sender.id} at tick {tick} is not in [0, 1]"
+    # the refused reading left the window as it was
+    assert node.step(tick, START).prediction == 0.5
+    np.testing.assert_array_equal(node.model.matrix, np.full((len(rows), span), 0.5))
+
+
+@pytest.mark.parametrize("condition", [0.0, -0.0, 1.0])
+@pytest.mark.parametrize("own", [True, False], ids=["observe", "receive"])
+def test_node_accepts_the_unit_interval_bounds(condition, own):
+    node, rows, sender = _node_and_sender(own)
+    for tick in range(node.cfg.cols):
+        for p in rows:
+            _send(node, p, tick, condition if p == sender else 0.5)
+    assert node.step(node.cfg.cols - 1, START).prediction == 0.5
+    assert node.model.matrix[rows.index(sender)].tolist() == [condition] * node.cfg.cols
