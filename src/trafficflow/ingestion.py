@@ -293,7 +293,7 @@ def write_raw_file(path: str | Path, series: Sequence[RawSeries]) -> None:
     """Emit the documented raw-file format (manifest block, then data rows)."""
     buf = io.StringIO()
     for s in sorted(series, key=lambda s: s.point.order_index):
-        buf.write(f"#point,{s.point.id},{s.point.order_index},{s.speed_limit!r}\n")
+        buf.write(f"#point,{s.point.id},{s.point.order_index},{float(s.speed_limit)!r}\n")
     for s in sorted(series, key=lambda s: s.point.order_index):
         for ts, speed in zip(s.samples["time"].tolist(), s.samples["speed"].tolist()):
             buf.write(f"{s.point.id},{ts.isoformat()},{speed!r}\n")

@@ -142,7 +142,11 @@ def test_write_raw_file_reproduces_a_parsed_file(tmp_path):
     source = tmp_path / "in.csv"
     source.write_text(text, encoding="utf-8")
     copy = tmp_path / "out.csv"
-    ingestion.write_raw_file(copy, ingestion.read_detector_file(source)[1])
+    series = ingestion.read_detector_file(source)[1]
+    ingestion.write_raw_file(copy, series)
+    assert copy.read_bytes() == source.read_bytes()
+    # a numpy speed limit is written as a plain number too
+    ingestion.write_raw_file(copy, [_raw(s.point, s.samples, np.float64(s.speed_limit)) for s in series])
     assert copy.read_bytes() == source.read_bytes()
 
 
