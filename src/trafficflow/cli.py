@@ -49,7 +49,7 @@ def _load_config_file(path: str | None) -> dict:
 # train settings a flag or the config file may give; other config-file keys are ignored
 _TRAIN_KEYS = (
     "model", "epochs", "batch_size", "lr", "seed", "loss", "context_mode",
-    "split_axis", "train_units", "test_units", "checkpoint_dir",
+    "split_axis", "train_units", "test_units",
 )
 _SPLITS = {"point": training.by_point, "time": training.by_time}
 
@@ -110,7 +110,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if axis not in _SPLITS:
         raise ValueError(f"unknown split axis {axis!r}")
     units = {side: given.pop(f"{side}_units") for side in ("train", "test") if f"{side}_units" in given}
-    given["checkpoint_dir"] = given.get("checkpoint_dir") or str(Path(args.out).with_suffix("")) + "-checkpoints"
     cfg = training.TrainConfig(**given, split=_SPLITS[axis](**units))
     dataset = ingestion.load_dataset(args.dataset)
     params, report = training.train(dataset, cfg)
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-axis", choices=("point", "time"), default=None)
     p.add_argument("--train-units", type=int, default=None, help="count of train points/days")
     p.add_argument("--test-units", type=int, default=None, help="count of test points/days")
-    p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--config-file", default=None, help="JSON file of train settings")
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=_cmd_train)

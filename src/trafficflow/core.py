@@ -29,6 +29,7 @@ __all__ = [
     "check_field_types",
     "json_object",
     "from_json",
+    "read_only",
     "chain_network",
     "neighbor_rows",
     "eligible_points",
@@ -219,6 +220,16 @@ def eligible_points(spec: NetworkSpec, cfg: SnapshotConfig) -> list[PointId]:
     return list(spec.points[lo:hi]) if hi > lo else []
 
 
+def read_only(array) -> np.ndarray:
+    """``array`` itself if it is read-only, else a read-only copy: no caller
+    keeps a writeable alias of what the result holds."""
+    array = np.asarray(array)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 def _on_grid(value: float, denominator: int) -> bool:
     scaled = value * denominator
     return 0.0 <= value <= 1.0 and abs(scaled - round(scaled)) < 1e-9
@@ -242,12 +253,11 @@ class PointSnapshot:
     timestamp: datetime
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = read_only(np.asarray(self.matrix, dtype=np.float64))
         if matrix.ndim != 2:
             raise ValueError("snapshot matrix must be 2-D")
         if not np.all(np.isfinite(matrix)) or matrix.min() < 0.0 or matrix.max() > 1.0:
             raise ValueError("snapshot matrix values must lie in [0, 1]")
-        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         if not _on_grid(self.day_value, 6):
             raise ValueError(f"day_value {self.day_value!r} not on the k/6 grid")

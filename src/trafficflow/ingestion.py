@@ -25,6 +25,7 @@ real detector data.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from collections.abc import Iterable, Sequence
@@ -44,6 +45,7 @@ from .core import (
     check_field_types,
     from_json,
     json_object,
+    read_only,
 )
 from .rng import stream
 from .serialization import ContainerFormatError, atomic_write_bytes, read_container, write_container
@@ -138,7 +140,7 @@ class RawSeries:
         samples = self.samples
         if not isinstance(samples, np.ndarray):
             samples = list(samples)  # numpy would read an outer tuple as one record
-        samples = _read_only(np.asarray(samples, dtype=_SAMPLE))
+        samples = read_only(np.asarray(samples, dtype=_SAMPLE))
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError(f"{self.point.id}: samples must be a sequence of (time, speed) pairs")
@@ -192,7 +194,10 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
     # its line number stay those of fromisoformat on each line.
     stamps: dict[str, int] = {}
 
-    for line_no, raw_line in enumerate(handle, start=1):
+    lines = iter(handle)
+    # a UTF-8 byte-order mark, as spreadsheet exports write it, is not data
+    first = next(lines, "").removeprefix("\ufeff")
+    for line_no, raw_line in enumerate(itertools.chain((first,), lines), start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -373,14 +378,6 @@ class Windows(NamedTuple):
     column: np.ndarray
 
 
-def _read_only(array) -> np.ndarray:
-    array = np.asarray(array)
-    if array.flags.writeable:
-        array = array.copy()
-        array.flags.writeable = False
-    return array
-
-
 def _check_index(name: str, index: np.ndarray, lo: int, hi: int) -> None:
     if index.ndim != 1 or index.dtype.kind not in "iu":
         raise ValueError(f"{name} must be a 1-D integer array, got {index.dtype} {index.shape}")
@@ -406,7 +403,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         grid, start, centre, column = self.windows
-        grid, centre, column = _read_only(grid), _read_only(centre), _read_only(column)
+        grid, centre, column = read_only(grid), read_only(centre), read_only(column)
         object.__setattr__(self, "windows", Windows(grid, start, centre, column))
         if grid.ndim != 2 or grid.dtype != np.float64 or grid.shape[0] != len(self.spec.points):
             raise ValueError(

@@ -466,7 +466,7 @@ class LossBatch:
             raise ShapeMismatchError(
                 f"{preds.size} predictions vs {targs.size} targets"
             )
-        if targs.min() < 0.0 or targs.max() > 1.0:
+        if not (targs.min() >= 0.0 and targs.max() <= 1.0):  # NaN fails both
             raise ValueError("targets must lie in [0, 1]")
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "targets", targs)

@@ -100,6 +100,12 @@ class Node:
     ``observe`` and ``receive`` raise ValueError, naming the node, the
     sender and the tick, for a condition that is not a number in [0, 1]
     (NaN and infinities included); the buffer is left as it was.
+
+    ``receive`` also raises it, leaving the buffer as it was, for a message
+    stamped more than one tick after the node's clock, the newest tick it
+    observed or stepped; such a message would take a slot still in the
+    window.  One tick of slack lets neighbours' messages arrive before the
+    node's own reading of that tick.
     """
 
     def __init__(self, point: PointId, rows: Sequence[PointId], model, cfg: SnapshotConfig):
@@ -112,14 +118,22 @@ class Node:
         self._span = cfg.cols
         self._values = np.zeros((len(self.row_ids), self._span))
         self._stamps = np.full((len(self.row_ids), self._span), -1)  # -1: never written
+        self._clock = -1  # newest tick observed or stepped
 
     def observe(self, tick: int, condition: float) -> None:
         """Record the node's own sensor reading for this tick."""
         self._store(self._row[self.point.id], tick, condition)
+        if tick > self._clock:
+            self._clock = tick
 
     def receive(self, message: ConditionMessage) -> None:
         if message.from_point.id not in self.neighbor_ids:
             raise ValueError(f"{self.point.id}: unexpected sender {message.from_point.id}")
+        if message.tick > self._clock + 1:
+            raise ValueError(
+                f"{self.point.id}: message from {message.from_point.id} at tick {message.tick} "
+                f"is ahead of the node's tick {self._clock}"
+            )
         self._store(self._row[message.from_point.id], message.tick, message.condition)
 
     def _store(self, row: int, tick: int, condition: float) -> None:
@@ -134,6 +148,8 @@ class Node:
 
     def step(self, tick: int, timestamp: datetime) -> SimRecord:
         """Attempt a prediction for tick + horizon from the buffered window."""
+        if tick > self._clock:
+            self._clock = tick
         if tick < self.cfg.delta:
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
         window = np.arange(tick - self.cfg.delta, tick + 1)

@@ -117,7 +117,6 @@ class TrainReport:
     final_test_rmse: float
     wall_time_s: float
     config: dict
-    checkpoint_path: str
     train_units: list
     test_units: list
     train_size: int
@@ -204,7 +203,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
     shuffle_rng = stream(cfg.seed, "shuffle")
     epoch_losses: list[float] = []
     skipped = 0
-    checkpoint_path = ""
     config_echo = cfg.echo((train_units, test_units))
 
     for epoch in range(cfg.epochs):
@@ -242,7 +240,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
         final_test_rmse=final_rmse,
         wall_time_s=_time.perf_counter() - started,
         config=config_echo,
-        checkpoint_path=checkpoint_path,
         train_units=train_units,
         test_units=test_units,
         train_size=train_ds.z,

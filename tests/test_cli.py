@@ -184,20 +184,36 @@ def test_train_config_file_precedence(tmp_path, profile_path):
     assert report["config"]["lr"] == 0.1
 
 
-def test_checkpoint_dir_from_config_file_yields_to_the_flag(tmp_path, profile_path):
+def test_train_writes_the_model_and_three_json_files_only(tmp_path, profile_path):
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
+    # a checkpoint_dir key in the config file is ignored like any other unread key
     cfg_file = tmp_path / "train.json"
-    cfg_file.write_text(json.dumps({"epochs": 1, "train_units": 2, "test_units": 2,
+    cfg_file.write_text(json.dumps({"epochs": 2, "train_units": 2, "test_units": 2,
                                     "checkpoint_dir": str(tmp_path / "from-file")}))
-    base = ["train", "--dataset", str(data), "--config-file", str(cfg_file)]
-    assert cli.main([*base, "--out", str(tmp_path / "a.tfmodel")]) == 0
-    assert [p.name for p in (tmp_path / "from-file").iterdir()] == ["epoch_000.tfmodel"]
-    assert not (tmp_path / "a-checkpoints").exists()
-    flag_dir = tmp_path / "from-flag"
-    assert cli.main([*base, "--checkpoint-dir", str(flag_dir), "--out", str(tmp_path / "b.tfmodel")]) == 0
-    assert [p.name for p in flag_dir.iterdir()] == ["epoch_000.tfmodel"]
-    assert not (tmp_path / "b-checkpoints").exists()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["train", "--dataset", str(data), "--config-file", str(cfg_file), "--out", str(out_dir / "m.tfmodel")]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "m.tfmodel", "m.tfmodel.config.json", "m.tfmodel.meta.json", "m.tfmodel.report.json",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.tfds", "data.tfds.config.json", "out", "profile.json", "train.json",
+    ]
+    report = json.loads((out_dir / "m.tfmodel.report.json").read_text())
+    assert sorted(report) == [
+        "config", "epoch_losses", "final_test_rmse", "skipped_zero_loss_batches",
+        "test_size", "test_units", "train_size", "train_units",
+    ]
+
+
+def test_train_refuses_the_checkpoint_dir_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["train", "--dataset", "d.tfds", "--checkpoint-dir", str(tmp_path / "c"), "--out", "m.tfmodel"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --checkpoint-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 INGEST = ["ingest", "--input", "{missing}", "--config-file", "{doc}"]

@@ -138,6 +138,15 @@ def test_point_snapshot_valid():
     assert not snap.matrix.flags.writeable
 
 
+def test_point_snapshot_copies_a_writeable_matrix_and_keeps_a_read_only_one():
+    matrix = np.full((9, 5), 0.5)
+    snap = _snapshot(matrix=matrix)
+    assert matrix.flags.writeable
+    matrix[0, 0] = 0.25
+    assert snap.matrix[0, 0] == 0.5
+    assert _snapshot(matrix=snap.matrix).matrix is snap.matrix
+
+
 @pytest.mark.parametrize("overrides", [
     {"matrix": np.full((9, 5), 1.5)},
     {"matrix": np.full((9, 5), -0.1)},

@@ -117,6 +117,25 @@ def test_parse_unknown_detector():
     assert err.value.detector == "ghost"
 
 
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_parse_skips_one_leading_byte_order_mark(tmp_path, kind):
+    def read(text):
+        if kind == "stream":
+            return ingestion.read_detector_file(io.StringIO(text))
+        path = tmp_path / "raw.csv"
+        path.write_text(text, encoding="utf-8")
+        return ingestion.read_detector_file(path)
+
+    text = "\ufeff" + _file_text([("a", 0, 60.0)], [("a", "2024-01-01T00:00:00", 50.0)])
+    spec, series = read(text)
+    assert spec.points == (core.PointId("a", 0),)
+    assert series[0].samples["speed"].tolist() == [50.0]
+    # later lines keep their numbers
+    with pytest.raises(ingestion.FormatError) as err:
+        read(text + "a,not-a-time,50\n")
+    assert str(err.value) == "line 3: bad timestamp 'not-a-time'"
+
+
 def test_read_detector_file_builds_network(tmp_path):
     series_in = [
         _raw(core.PointId("a", 0), [(START, 30.0), (START + timedelta(minutes=5), 40.0)], 60.0),
@@ -470,6 +489,7 @@ def test_window_reproduces_printed_sample_matrix():
     assert ds.z == 1
     snap = ds.snapshots[0]
     np.testing.assert_array_equal(snap.matrix, sample)
+    assert np.shares_memory(snap.matrix, ds.windows.grid)  # a view, not a copy
     assert snap.day_value == 0.5
     assert snap.time_value == 28 / 47
     assert snap.target == target_value

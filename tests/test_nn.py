@@ -304,6 +304,12 @@ def test_loss_zero_when_predictions_equal_targets():
     assert nn.loss_forward(nn.LossBatch(values, values)) == 0.0
 
 
+@pytest.mark.parametrize("targets", [[0.5, np.nan], [np.nan], [-0.1, 0.5], [0.5, 1.1], [-0.1, 1.1]])
+def test_loss_batch_refuses_targets_outside_the_unit_interval(targets):
+    with pytest.raises(ValueError, match=r"^targets must lie in \[0, 1\]$"):
+        nn.LossBatch(np.full(len(targets), 0.5), np.array(targets))
+
+
 def test_loss_light_traffic_example():
     # Y > 0.5 disables the regularizer: sqrt(0.01) / 1 = 0.1
     batch = nn.LossBatch(np.array([0.8]), np.array([0.9]))

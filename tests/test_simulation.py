@@ -328,3 +328,48 @@ def test_node_accepts_the_unit_interval_bounds(condition, own):
             _send(node, p, tick, condition if p == sender else 0.5)
     assert node.step(node.cfg.cols - 1, START).prediction == 0.5
     assert node.model.matrix[rows.index(sender)].tolist() == [condition] * node.cfg.cols
+
+
+def test_node_refuses_a_message_more_than_one_tick_ahead():
+    node, rows, sender = _node_and_sender(own=False)
+    span = node.cfg.cols
+    for tick in range(span):
+        for p in rows:
+            _send(node, p, tick, 0.5)
+    # the newest own reading is tick span - 1: tick span is timely, span + 1 is not
+    with pytest.raises(ValueError) as err:
+        _send(node, sender, span + 1, 0.25)
+    assert str(err.value) == (
+        f"{node.point.id}: message from {sender.id} at tick {span + 1} is ahead of the node's tick {span - 1}"
+    )
+    # the refused message left the window as it was
+    assert node.step(span - 1, START).prediction == 0.5
+    np.testing.assert_array_equal(node.model.matrix, np.full((len(rows), span), 0.5))
+    _send(node, sender, span, 0.25)
+
+
+def test_a_message_stamped_far_ahead_no_longer_silences_the_node():
+    # the tick-99 message would take the ring slot of tick 4, 9, 14 and 19,
+    # and every step from tick 4 to tick 19 would skip as stale
+    node, rows, sender = _node_and_sender(own=False)
+    records = []
+    for tick in range(20):
+        for p in rows:
+            _send(node, p, tick, 0.5)
+        if tick == 4:
+            with pytest.raises(ValueError, match=f"from {sender.id} at tick 99 "):
+                _send(node, sender, 99, 0.5)
+        records.append(node.step(tick, START))
+    assert [r.prediction for r in records[4:]] == [0.5] * 16
+
+
+def test_node_clock_runs_on_past_a_missed_own_reading():
+    # step advances the clock, so with the own reading of tick 5 lost, the
+    # neighbours' messages of tick 6 are still timely before the node's own
+    node, rows, sender = _node_and_sender(own=False)
+    for tick in range(8):
+        for p in sorted(rows, key=lambda p: p == node.point):  # own reading last
+            if (p, tick) != (node.point, 5):
+                _send(node, p, tick, 0.5)
+        node.step(tick, START)
+    assert node.step(7, START).skip_reason == f"{simulation.SKIP_STALE}:{node.point.id}"
