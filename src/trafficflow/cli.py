@@ -46,9 +46,9 @@ def _load_config_file(path: str | None) -> dict:
     return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}")
 
 
-# train settings a flag or the config file may give; other config-file keys are ignored
+# train settings a flag or the config file may give; a config file may give no other key
 _TRAIN_KEYS = (
-    "model", "epochs", "batch_size", "lr", "seed", "loss", "context_mode",
+    "model", "epochs", "batch_size", "lr", "seed",
     "split_axis", "train_units", "test_units",
 )
 _SPLITS = {"point": training.by_point, "time": training.by_time}
@@ -104,7 +104,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     # flags override the config file; what neither gives keeps the defaults
     # of TrainConfig and of the split's constructor
     file_cfg = _load_config_file(args.config_file)
-    given = {key: file_cfg[key] for key in _TRAIN_KEYS if key in file_cfg}
+    unknown = sorted(set(file_cfg) - set(_TRAIN_KEYS))
+    if unknown:
+        raise ValueError(f"config file {args.config_file} has no field {unknown[0]!r}")
+    given = dict(file_cfg)
     given.update({key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None})
     axis = given.pop("split_axis", "point")
     if axis not in _SPLITS:
@@ -232,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--loss", choices=("strict", "rmse"), default=None)
-    p.add_argument("--context-mode", choices=("none", "concat"), default=None)
     p.add_argument("--split-axis", choices=("point", "time"), default=None)
     p.add_argument("--train-units", type=int, default=None, help="count of train points/days")
     p.add_argument("--test-units", type=int, default=None, help="count of test points/days")

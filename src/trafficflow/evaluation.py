@@ -83,7 +83,7 @@ class PersistencePredictor:
     def __init__(self, cfg: SnapshotConfig):
         self.center_row = cfg.n_in
 
-    def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
+    def predict(self, matrix: np.ndarray) -> float:
         return float(np.asarray(matrix)[self.center_row, -1])
 
     def predict_snapshot(self, snap) -> float:

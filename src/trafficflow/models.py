@@ -4,11 +4,12 @@ Both models map one 9x5 point snapshot to the centre point's next-step
 condition in (0, 1):
 
 * CnnPredictor: two valid 3x3 convolutions (64 filters each, relu), flatten
-  to 320, dense 320->32 (relu), dense 32->1 (sigmoid).  ``context_mode =
-  "concat"`` appends the day/time scalars after the flatten (322 -> 32).
+  to 320, dense 320->32 (relu), dense 32->1 (sigmoid).
 * LstmPredictor: the snapshot's five columns (oldest first) feed a stacked
   pair of 20-unit LSTM layers; a dense 20->1 sigmoid head reads the final
   hidden state.
+
+Neither model reads a snapshot's day or time scalars.
 
 Model files are self-describing: magic string, format version, kind tag and
 shape manifest, float64 little-endian payload, sha256 trailer.
@@ -74,8 +75,9 @@ class ManifestMismatchError(ValueError):
 class ModelParams:
     """Learnable parameters of one predictor plus provenance.
 
-    ``arrays`` preserves manifest order; ``config`` echoes whatever training
-    settings produced the parameters (context mode, loss kind, ...).
+    ``arrays`` preserves manifest order; ``config`` echoes the training
+    settings that produced the parameters.  No predictor reads it: the kind
+    and the arrays alone define the model.
     """
 
     kind: str
@@ -88,14 +90,13 @@ class ModelParams:
         return [(name, tuple(a.shape)) for name, a in self.arrays.items()]
 
 
-def _cnn_manifest(context_mode: str = "none") -> list[tuple[str, tuple[int, ...]]]:
-    flat = 5 * 1 * _FILTERS + (2 if context_mode == "concat" else 0)
+def _cnn_manifest() -> list[tuple[str, tuple[int, ...]]]:
     return [
         ("conv1_w", (_FILTER, _FILTER, 1, _FILTERS)),
         ("conv1_b", (_FILTERS,)),
         ("conv2_w", (_FILTER, _FILTER, _FILTERS, _FILTERS)),
         ("conv2_b", (_FILTERS,)),
-        ("fc1_w", (flat, _HIDDEN_DENSE)),
+        ("fc1_w", (5 * 1 * _FILTERS, _HIDDEN_DENSE)),
         ("fc1_b", (_HIDDEN_DENSE,)),
         ("fc2_w", (_HIDDEN_DENSE, 1)),
         ("fc2_b", (1,)),
@@ -116,13 +117,6 @@ def _lstm_manifest() -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _context_columns(day, time_v, batch: int) -> list[np.ndarray]:
-    """Day and time values (scalars at batch 1) as (B, 1) columns; a missing
-    one reads 0."""
-    return [np.zeros((batch, 1)) if v is None else np.asarray(v, dtype=np.float64).reshape(batch, 1)
-            for v in (day, time_v)]
-
-
 def _stack(matrices: np.ndarray) -> np.ndarray:
     x = np.asarray(matrices, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (SNAP_ROWS, SNAP_COLS):
@@ -132,82 +126,67 @@ def _stack(matrices: np.ndarray) -> np.ndarray:
 
 class _Predictor:
     """What both predictors share: the manifest check, the parameter-file
-    round trip and per-snapshot prediction.
-
-    ``settings`` are the subclass's constructor keywords (``setting_names``);
-    they select the manifest and are echoed into the file config.
-    """
+    round trip and per-snapshot prediction."""
 
     kind: str
-    setting_names: tuple[str, ...] = ()
     # bias slices that start at 1 rather than 0
     unit_biases: dict[str, slice] = {}
 
     @staticmethod
-    def _manifest(**settings) -> list[tuple[str, tuple[int, ...]]]:
+    def _manifest() -> list[tuple[str, tuple[int, ...]]]:
         raise NotImplementedError
 
-    def __init__(self, params: dict[str, np.ndarray], **settings):
-        expected = dict(self._manifest(**settings))
+    def __init__(self, params: dict[str, np.ndarray]):
+        expected = dict(self._manifest())
         for name, shape in expected.items():
             if name not in params or params[name].shape != shape:
                 got = params[name].shape if name in params else "missing"
                 raise ManifestMismatchError(f"{name}: expected shape {shape}, got {got}")
         self.params = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
-        self.settings = settings
 
     @classmethod
-    def initialize(cls, seed: int, *settings, **named_settings):
-        """Fresh parameters from the constructor's ``settings``: zero biases
-        but ``unit_biases``, Glorot-uniform weights.  The fans take a weight's
-        last axis as its outputs and the axes before its input axis as the
-        kernel (none for a dense layer)."""
+    def initialize(cls, seed: int):
+        """Fresh parameters: zero biases but ``unit_biases``, Glorot-uniform
+        weights.  The fans take a weight's last axis as its outputs and the
+        axes before its input axis as the kernel (none for a dense layer)."""
         rng = stream(seed, "init")
         params: dict[str, np.ndarray] = {}
-        for name, shape in cls._manifest(*settings, **named_settings):
+        for name, shape in cls._manifest():
             if name.endswith("_b"):
                 params[name] = np.zeros(shape)
                 params[name][cls.unit_biases.get(name, slice(0))] = 1.0
             else:
                 fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
                 params[name] = nn.glorot_uniform(rng, shape, fan_in, fan_out)
-        return cls(params, *settings, **named_settings)
+        return cls(params)
 
     @property
     def param_count(self) -> int:
         return int(sum(a.size for a in self.params.values()))
 
     def predict_snapshot(self, snap: PointSnapshot) -> float:
-        return self.predict(snap.matrix, snap.day_value, snap.time_value)
+        return self.predict(snap.matrix)
 
     def to_params(self, seed: int | None = None, config: dict | None = None) -> ModelParams:
         arrays = {name: a.copy() for name, a in self.params.items()}
-        return ModelParams(kind=self.kind, arrays=arrays, seed=seed, config={**self.settings, **(config or {})})
+        return ModelParams(kind=self.kind, arrays=arrays, seed=seed, config=dict(config or {}))
 
     @classmethod
     def from_params(cls, params: ModelParams):
         if params.kind != cls.kind:
             raise ManifestMismatchError(f"parameters are for kind {params.kind!r}, not {cls.kind!r}")
-        settings = {name: params.config[name] for name in cls.setting_names if name in params.config}
-        if params.manifest != cls._manifest(**settings):
+        if params.manifest != cls._manifest():
             raise ManifestMismatchError(
                 f"manifest {params.manifest} does not match the {cls.kind} architecture"
             )
-        return cls(params.arrays, **settings)
+        return cls(params.arrays)
 
 
 class CnnPredictor(_Predictor):
     """Convolutional snapshot predictor (architecture is bound to 9x5 inputs)."""
 
     kind = "cnn"
-    setting_names = ("context_mode",)
     _manifest = staticmethod(_cnn_manifest)
-
-    def __init__(self, params: dict[str, np.ndarray], context_mode: str = "none"):
-        if context_mode not in ("none", "concat"):
-            raise ValueError(f"unknown context_mode {context_mode!r}")
-        self.context_mode = context_mode
-        super().__init__(params, context_mode=context_mode)
 
     def shape_chain(self) -> list[tuple[int, ...]]:
         """Data shapes through the network, input to output."""
@@ -222,13 +201,12 @@ class CnnPredictor(_Predictor):
             (1,),
         ]
 
-    def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
-        """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache).
-        ``day`` and ``time_v`` are (B,) values, or scalars at B = 1."""
+    def forward_batch(self, matrices: np.ndarray):
+        """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         x = _stack(matrices)
         batch = x.shape[0]
         a2, c1, c2 = self._convs(x[..., None])
-        out, c3, c4 = self._dense(a2.reshape(batch, -1), day, time_v)
+        out, c3, c4 = self._dense(a2.reshape(batch, -1))
         return out, (c1, c2, c3, c4, batch)
 
     def _convs(self, x: np.ndarray):
@@ -237,11 +215,8 @@ class CnnPredictor(_Predictor):
         a2, c2 = nn.conv2d_forward(a1, self.params["conv2_w"], self.params["conv2_b"], "relu")
         return a2, c1, c2
 
-    def _dense(self, flat: np.ndarray, day, time_v):
-        """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches).
-        Only the concat mode reads ``day`` and ``time_v``."""
-        if self.context_mode == "concat":
-            flat = np.concatenate([flat, *_context_columns(day, time_v, len(flat))], axis=1)
+    def _dense(self, flat: np.ndarray):
+        """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches)."""
         h, c3 = nn.dense_forward(flat, self.params["fc1_w"], self.params["fc1_b"], "relu")
         out, c4 = nn.dense_forward(h, self.params["fc2_w"], self.params["fc2_b"], "sigmoid")
         return out[:, 0], c3, c4
@@ -251,8 +226,6 @@ class CnnPredictor(_Predictor):
         c1, c2, c3, c4, batch = cache
         grad_h, gw_fc2, gb_fc2 = nn.dense_backward(np.asarray(grad_preds)[:, None], c4)
         grad_flat, gw_fc1, gb_fc1 = nn.dense_backward(grad_h, c3)
-        if self.context_mode == "concat":
-            grad_flat = grad_flat[:, :-2]
         grad_a2 = grad_flat.reshape(batch, 5, 1, _FILTERS)
         grad_a1, gw_c2, gb_c2 = nn.conv2d_backward(grad_a2, c2)
         gw_c1, gb_c1 = nn.conv2d_param_grads(grad_a1, c1)
@@ -267,9 +240,9 @@ class CnnPredictor(_Predictor):
             "fc2_b": gb_fc2,
         }
 
-    def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
+    def predict(self, matrix: np.ndarray) -> float:
         """Single-snapshot prediction (the path decentralized nodes use)."""
-        preds, _ = self.forward_batch(np.asarray(matrix)[None], day_value, time_value)
+        preds, _ = self.forward_batch(np.asarray(matrix)[None])
         return float(preds[0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
@@ -290,7 +263,6 @@ class CnnPredictor(_Predictor):
         cfg, (grid, _, centre, column) = dataset.config, dataset.windows
         if (cfg.rows, cfg.cols) != (SNAP_ROWS, SNAP_COLS):
             raise ShapeMismatchError(f"expected {SNAP_ROWS}x{SNAP_COLS} snapshots, got {cfg.rows}x{cfg.cols}")
-        day, time_v = dataset.context()
         out = np.empty(dataset.z)
         if not dataset.z:
             return out
@@ -311,11 +283,11 @@ class CnnPredictor(_Predictor):
                 part = sel[lo : lo + chunk]
                 rows = (centre[part] - cfg.n_in - top)[:, None] + np.arange(cells)
                 flat = a2[0, rows, (column[part] - cfg.delta - left)[:, None]].reshape(len(part), -1)
-                out[part] = self._dense(flat, day[part], time_v[part])[0]
+                out[part] = self._dense(flat)[0]
         rest = np.concatenate(by_rows) if by_rows else order[:0]
         for lo in range(0, len(rest), chunk):
             part = rest[lo : lo + chunk]
-            out[part], _ = self.forward_batch(dataset.matrices(part), day[part], time_v[part])
+            out[part], _ = self.forward_batch(dataset.matrices(part))
         return out
 
 
@@ -327,8 +299,8 @@ class LstmPredictor(_Predictor):
     # the forget gates' slice of each layer's [i, f, o, g] bias
     unit_biases = dict.fromkeys(("l1_b", "l2_b"), slice(_LSTM_HIDDEN, 2 * _LSTM_HIDDEN))
 
-    def forward_batch(self, matrices: np.ndarray, day=None, time_v=None):
-        """Predictions for a (B, 9, 5) stack; context scalars are unused."""
+    def forward_batch(self, matrices: np.ndarray):
+        """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         xs = _stack(matrices).transpose(0, 2, 1)  # (B, T=5, 9), oldest column first
         hs1, c1 = nn.lstm_forward(xs, self.params["l1_wx"], self.params["l1_wh"], self.params["l1_b"])
         hs2, c2 = nn.lstm_forward(hs1, self.params["l2_wx"], self.params["l2_wh"], self.params["l2_b"])
@@ -353,7 +325,7 @@ class LstmPredictor(_Predictor):
             "head_b": gb_head,
         }
 
-    def predict(self, matrix: np.ndarray, day_value: float = 0.0, time_value: float = 0.0) -> float:
+    def predict(self, matrix: np.ndarray) -> float:
         preds, _ = self.forward_batch(np.asarray(matrix)[None])
         return float(preds[0])
 

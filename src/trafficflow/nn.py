@@ -447,7 +447,7 @@ def lstm_backward(
 #
 # where w_i is 0 when the target speed ratio Y_i exceeds 0.5 (light traffic)
 # and 1 otherwise, so heavy-congestion samples carry an extra absolute-error
-# penalty.  The "rmse" variant moves the division by N inside the sqrt.
+# penalty.
 
 
 @dataclass(frozen=True)
@@ -481,33 +481,27 @@ def congestion_weights(targets: np.ndarray) -> np.ndarray:
     return np.where(targets > 0.5, 0.0, 1.0)
 
 
-def loss_forward(batch: LossBatch, kind: str = "strict") -> float:
+def loss_forward(batch: LossBatch) -> float:
     """Evaluate the regularized Euclidean loss over a batch."""
     diff = batch.predictions - batch.targets
     weights = congestion_weights(batch.targets)
     total = float(np.sum(diff**2 + weights * np.abs(diff)))
-    if kind == "strict":
-        return float(np.sqrt(total) / batch.n)
-    if kind == "rmse":
-        return float(np.sqrt(total / batch.n))
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return float(np.sqrt(total) / batch.n)
 
 
-def loss_backward(batch: LossBatch, kind: str = "strict") -> np.ndarray:
+def loss_backward(batch: LossBatch) -> np.ndarray:
     """Gradient of loss_forward w.r.t. the predictions.
 
     The |.| subgradient at 0 is taken as 0.  Raises ZeroLossError at exactly
     zero loss, where the sqrt makes the gradient singular.
     """
-    value = loss_forward(batch, kind)
+    value = loss_forward(batch)
     if value == 0.0:
         raise ZeroLossError("loss is zero; skip the parameter update")
     diff = batch.predictions - batch.targets
     weights = congestion_weights(batch.targets)
     numerator = 2.0 * diff + weights * np.sign(diff)
-    if kind == "strict":
-        return numerator / (2.0 * batch.n**2 * value)
-    return numerator / (2.0 * batch.n * value)
+    return numerator / (2.0 * batch.n**2 * value)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import NetworkSpec, PointId, SnapshotConfig, eligible_points, neighbor_rows
-from .ingestion import CleanSeries, aligned_grid, context_scalars
+from .ingestion import CleanSeries, aligned_grid
 
 __all__ = [
     "ConditionMessage",
@@ -146,7 +146,7 @@ class Node:
             self._stamps[row, slot] = tick
             self._values[row, slot] = condition
 
-    def step(self, tick: int, timestamp: datetime) -> SimRecord:
+    def step(self, tick: int) -> SimRecord:
         """Attempt a prediction for tick + horizon from the buffered window."""
         if tick > self._clock:
             self._clock = tick
@@ -158,8 +158,7 @@ class Node:
         if not fresh.all():
             stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
             return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
-        day_value, time_value = context_scalars(timestamp)
-        prediction = self.model.predict(self._values[:, slots], day_value, time_value)
+        prediction = self.model.predict(self._values[:, slots])
         return SimRecord(tick, self.point.id, prediction, None)
 
 
@@ -209,7 +208,7 @@ def run(
                 node.receive(message)
                 delivered += 1
         for node in nodes:
-            records.append(node.step(tick, timestamp))
+            records.append(node.step(tick))
 
     return SimLog(
         records=records,

@@ -81,8 +81,7 @@ class TrainConfig:
     lr: float = 0.01
     seed: int = 0
     split: SplitSpec = field(default_factory=by_point)
-    loss: str = "strict"
-    context_mode: str = "none"
+    loss: str = "strict"  # the paper's congestion-weighted loss, the only one
     checkpoint_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -93,8 +92,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        if self.loss not in ("strict", "rmse"):
-            raise ValueError(f"unknown loss kind {self.loss!r}")
+        if self.loss != "strict":
+            raise ValueError(f"unknown loss kind {self.loss!r}; only 'strict' is defined")
         if not isinstance(self.checkpoint_dir, (str, Path, type(None))):
             raise ValueError(f"TrainConfig.checkpoint_dir must be a path, got {self.checkpoint_dir!r}")
 
@@ -194,9 +193,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
     train_units = list(_units(train_ds, cfg.split.axis)[1])
     test_units = list(_units(test_ds, cfg.split.axis)[1])
 
-    kind = models.KINDS[cfg.model]
-    model = kind.initialize(cfg.seed, **{name: getattr(cfg, name) for name in kind.setting_names})
-    day, time_v = train_ds.context()
+    model = models.KINDS[cfg.model].initialize(cfg.seed)
     targets = train_ds.targets()
     z = train_ds.z
 
@@ -210,11 +207,11 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
         batch_losses: list[float] = []
         for lo in range(0, z, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            preds, cache = model.forward_batch(train_ds.matrices(idx), day[idx], time_v[idx])
+            preds, cache = model.forward_batch(train_ds.matrices(idx))
             batch = nn.LossBatch(preds, targets[idx])
-            batch_losses.append(nn.loss_forward(batch, cfg.loss))
+            batch_losses.append(nn.loss_forward(batch))
             try:
-                grad_preds = nn.loss_backward(batch, cfg.loss)
+                grad_preds = nn.loss_backward(batch)
             except nn.ZeroLossError:
                 skipped += 1
                 continue

@@ -65,13 +65,12 @@ def test_traced_hooks_read_the_kernel_caches(monkeypatch):
     tracer = importlib.import_module("tracer")
     rng = np.random.default_rng(1)
     matrices = rng.uniform(0, 1, size=(32, 9, 5))
-    day, time_v = rng.uniform(0, 1, size=(2, 32))
     traced = tracer.Tracer()
     with layers.installed(traced), traced.operation():
         for model in (models.CnnPredictor.initialize(0), models.LstmPredictor.initialize(0)):
-            preds, cache = model.forward_batch(matrices, day, time_v)
+            preds, cache = model.forward_batch(matrices)
             model.backward_batch(rng.normal(size=preds.shape), cache)
-            model.predict(matrices[0], day[0], time_v[0])
+            model.predict(matrices[0])
     metrics = layers.metrics(tracer.SpanSummary(traced))
     for name in ("nn.conv2d_forward.b32_gflops", "nn.conv2d_backward.b32_gflops", "nn.conv2d_forward.b1_us",
                  "nn.dense_backward.b32_us", "nn.lstm_forward.b1_us", "nn.lstm_backward.b32_us",

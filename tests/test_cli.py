@@ -187,10 +187,8 @@ def test_train_config_file_precedence(tmp_path, profile_path):
 def test_train_writes_the_model_and_three_json_files_only(tmp_path, profile_path):
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
-    # a checkpoint_dir key in the config file is ignored like any other unread key
     cfg_file = tmp_path / "train.json"
-    cfg_file.write_text(json.dumps({"epochs": 2, "train_units": 2, "test_units": 2,
-                                    "checkpoint_dir": str(tmp_path / "from-file")}))
+    cfg_file.write_text(json.dumps({"epochs": 2, "train_units": 2, "test_units": 2}))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["train", "--dataset", str(data), "--config-file", str(cfg_file), "--out", str(out_dir / "m.tfmodel")]
@@ -208,11 +206,13 @@ def test_train_writes_the_model_and_three_json_files_only(tmp_path, profile_path
     ]
 
 
-def test_train_refuses_the_checkpoint_dir_flag(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [("--checkpoint-dir", "c"), ("--loss", "strict"), ("--context-mode", "none")])
+def test_train_refuses_removed_flags(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
-        cli.main(["train", "--dataset", "d.tfds", "--checkpoint-dir", str(tmp_path / "c"), "--out", "m.tfmodel"])
+        cli.main(["train", "--dataset", "d.tfds", flag, value, "--out", "m.tfmodel"])
     assert err.value.code == 2
-    assert "unrecognized arguments: --checkpoint-dir" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -224,6 +224,10 @@ SYNTH = ["synth", "--profile", "{doc}"]
 @pytest.mark.parametrize("doc,argv,message", [
     ({"epochs": "2"}, TRAIN, "TrainConfig.epochs must be of type"),
     ({"epochs": None}, TRAIN, "TrainConfig.epochs must be of type"),
+    ({"epoch": 1}, TRAIN, "has no field 'epoch'"),
+    ({"context_mode": "none"}, TRAIN, "has no field 'context_mode'"),
+    ({"loss": "rmse"}, TRAIN, "has no field 'loss'"),
+    ({"epochs": 1, "checkpoint_dir": "ckpt"}, TRAIN, "has no field 'checkpoint_dir'"),
     ({**TINY_PROFILE, "dips": [{"start_slot": 10, "end_slot": 13, "depth": "0.5"}]}, SYNTH,
      "RushHourDip.depth must be of type"),
     ({"snapshot": {"delta": "4"}}, INGEST, "SnapshotConfig.delta must be of type"),
@@ -281,3 +285,20 @@ def test_simulate_replays_a_split_dataset(tmp_path, profile_path):
         assert cli.main(["simulate", "--dataset", str(dataset), "--model", str(model), "--ticks", "30",
                          "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "part.log").read_bytes() == (tmp_path / "full.log").read_bytes()
+
+
+def test_simulate_refuses_a_model_with_a_widened_first_dense_layer(tmp_path, profile_path, capsys):
+    # a CNN file whose fc1 reads 322 inputs, 320 conv2 cells plus the day and
+    # time scalars, matches no architecture this package builds
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
+    params = models.CnnPredictor.initialize(0).to_params(config={"context_mode": "concat"})
+    params.arrays["fc1_w"] = np.zeros((322, 32))
+    model = tmp_path / "wide.tfmodel"
+    models.save_file(params, model)
+    capsys.readouterr()
+    argv = ["simulate", "--dataset", str(data), "--model", str(model), "--out", str(tmp_path / "sim.log")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and "(322, 32)" in err and err.count("\n") == 1
+    assert not (tmp_path / "sim.log").exists()

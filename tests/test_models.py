@@ -26,7 +26,7 @@ def _sig(v):
     return 1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
 
 
-def naive_cnn_forward(params, matrix, day, time_v, context_mode):
+def naive_cnn_forward(params, matrix):
     def conv_relu(x, w, b):
         height, width, chans = len(x), len(x[0]), len(x[0][0])
         k, filters = len(w), len(w[0][0][0])
@@ -48,8 +48,6 @@ def naive_cnn_forward(params, matrix, day, time_v, context_mode):
     a1 = conv_relu(x, params["conv1_w"].tolist(), params["conv1_b"].tolist())
     a2 = conv_relu(a1, params["conv2_w"].tolist(), params["conv2_b"].tolist())
     flat = [a2[i][j][f] for i in range(5) for j in range(1) for f in range(64)]
-    if context_mode == "concat":
-        flat += [day, time_v]
     w1, b1 = params["fc1_w"].tolist(), params["fc1_b"].tolist()
     hidden = []
     for k in range(32):
@@ -125,21 +123,6 @@ def test_cnn_shape_chain():
     assert model.shape_chain() == [(9, 5), (7, 3, 64), (5, 1, 64), (320,), (32,), (1,)]
 
 
-def test_cnn_context_concat_widens_first_dense_layer():
-    model = models.CnnPredictor.initialize(0, context_mode="concat")
-    assert model.params["fc1_w"].shape == (322, 32)
-    matrix = _random_snapshots(1)[0]
-    with_ctx = model.predict(matrix, 0.5, 0.5)
-    without_ctx = model.predict(matrix, 0.0, 0.0)
-    assert with_ctx != without_ctx
-
-
-def test_cnn_context_none_ignores_scalars():
-    model = models.CnnPredictor.initialize(0)
-    matrix = _random_snapshots(1)[0]
-    assert model.predict(matrix, 0.5, 0.5) == model.predict(matrix, 0.0, 1.0)
-
-
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
 def test_zero_parameters_predict_one_half(kind):
     if kind == "cnn":
@@ -157,8 +140,8 @@ def test_prediction_deterministic_and_in_unit_interval(kind):
     model = (models.CnnPredictor if kind == "cnn" else models.LstmPredictor).initialize(3)
     again = (models.CnnPredictor if kind == "cnn" else models.LstmPredictor).initialize(3)
     for matrix in _random_snapshots(10, seed=2):
-        p1 = model.predict(matrix, 0.5, 0.5)
-        p2 = again.predict(matrix, 0.5, 0.5)
+        p1 = model.predict(matrix)
+        p2 = again.predict(matrix)
         assert p1 == p2
         assert 0.0 < p1 < 1.0
 
@@ -166,15 +149,8 @@ def test_prediction_deterministic_and_in_unit_interval(kind):
 def test_cnn_matches_independent_naive_oracle():
     model = models.CnnPredictor.initialize(5)
     for i, matrix in enumerate(_random_snapshots(5, seed=3)):
-        expected = naive_cnn_forward(model.params, matrix.tolist(), 0.0, 0.0, "none")
+        expected = naive_cnn_forward(model.params, matrix.tolist())
         assert model.predict(matrix) == pytest.approx(expected, rel=1e-12)
-
-
-def test_cnn_concat_matches_independent_naive_oracle():
-    model = models.CnnPredictor.initialize(6, context_mode="concat")
-    matrix = _random_snapshots(1, seed=4)[0]
-    expected = naive_cnn_forward(model.params, matrix.tolist(), 0.5, 28 / 47, "concat")
-    assert model.predict(matrix, 0.5, 28 / 47) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lstm_matches_independent_naive_oracle():
@@ -220,7 +196,7 @@ def test_predict_dataset_is_independent_of_chunk_size():
     assert ds.z > 3 * chunk and ds.z % chunk
     sample = np.append(np.random.default_rng(12).choice(ds.z, size=20, replace=False), [chunk - 1, chunk, ds.z - 1])
     for model in (
-        models.CnnPredictor.initialize(1, context_mode="concat"),
+        models.CnnPredictor.initialize(1),
         models.LstmPredictor.initialize(1),
     ):
         default = model.predict_dataset(ds)
@@ -245,7 +221,7 @@ def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(nn, name, counting)
-    models.KINDS[kind].initialize(4).predict(_random_snapshots(1, seed=9)[0], 0.5, 0.25)
+    models.KINDS[kind].initialize(4).predict(_random_snapshots(1, seed=9)[0])
     assert batches == {name: [1] * count for name, count in calls.items()}
 
 
@@ -253,13 +229,12 @@ def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
 # the CNN's grid path against the per-snapshot path
 
 
-_CNNS = {mode: models.CnnPredictor.initialize(13, context_mode=mode) for mode in ("none", "concat")}
+_CNN = models.CnnPredictor.initialize(13)
 
 
 def _row_path(model, dataset):
     """Every snapshot of ``dataset`` through one forward_batch."""
-    day, time_v = dataset.context()
-    return model.forward_batch(dataset.matrices(), day, time_v)[0]
+    return model.forward_batch(dataset.matrices())[0]
 
 
 def _assert_fresh(preds, model, dataset):
@@ -285,33 +260,25 @@ def _cnn_datasets(draw):
     return ds.subset(rows)
 
 
-@given(
-    dataset=_cnn_datasets(),
-    mode=st.sampled_from(["none", "concat"]),
-    chunk=st.sampled_from([1, 7, models.PREDICT_CHUNK, None]),
-)
-def test_cnn_predict_dataset_matches_the_per_snapshot_path(dataset, mode, chunk):
-    model = _CNNS[mode]
-    preds = model.predict_dataset(dataset, chunk=chunk or dataset.z)
-    np.testing.assert_allclose(preds, _row_path(model, dataset), rtol=0, atol=1e-12)
-    _assert_fresh(preds, model, dataset)
+@given(dataset=_cnn_datasets(), chunk=st.sampled_from([1, 7, models.PREDICT_CHUNK, None]))
+def test_cnn_predict_dataset_matches_the_per_snapshot_path(dataset, chunk):
+    preds = _CNN.predict_dataset(dataset, chunk=chunk or dataset.z)
+    np.testing.assert_allclose(preds, _row_path(_CNN, dataset), rtol=0, atol=1e-12)
+    _assert_fresh(preds, _CNN, dataset)
 
 
 @given(
     dataset=_cnn_datasets(),
-    which=st.sampled_from([("cnn", "none"), ("cnn", "concat"), ("lstm", None)]),
+    kind=st.sampled_from(["cnn", "lstm"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30)
-def test_batch_one_predict_matches_predict_dataset(dataset, which, seed):
-    kind, mode = which
-    named = {} if mode is None else {"context_mode": mode}
+def test_batch_one_predict_matches_predict_dataset(dataset, kind, seed):
     rng = np.random.default_rng(seed)
-    base = models.KINDS[kind].initialize(0, **named).params
-    model = models.KINDS[kind]({name: a + rng.normal(scale=0.3, size=a.shape) for name, a in base.items()}, **named)
+    base = models.KINDS[kind].initialize(0).params
+    model = models.KINDS[kind]({name: a + rng.normal(scale=0.3, size=a.shape) for name, a in base.items()})
     rows = rng.choice(dataset.z, size=min(dataset.z, 40), replace=False)
-    day, time_v = dataset.context()
-    single = [model.predict(m, day[k], time_v[k]) for m, k in zip(dataset.matrices(rows), rows)]
+    single = [model.predict(m) for m in dataset.matrices(rows)]
     np.testing.assert_allclose(single, model.predict_dataset(dataset)[rows], rtol=0, atol=1e-12)
 
 
@@ -320,13 +287,13 @@ def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
     cfg = core.SnapshotConfig(step_minutes=30)
     values = np.random.default_rng(14).uniform(0, 1, size=(14, 80))
     ds = ingestion.window(make_network_series(values, spec), spec, cfg)
-    model = models.CnnPredictor.initialize(2, context_mode="concat")
+    model = models.CnnPredictor.initialize(2)
     sizes = []  # the size of every batch the row path runs
     original = model.forward_batch
 
-    def counting(matrices, day, time_v):
+    def counting(matrices):
         sizes.append(len(matrices))
-        return original(matrices, day, time_v)
+        return original(matrices)
 
     model.forward_batch = counting
 
@@ -441,12 +408,28 @@ def test_manifest_mismatch_on_wrong_shapes():
         models.CnnPredictor(broken)
 
 
-def test_concat_manifest_rejects_unwidened_fc1():
-    model = models.CnnPredictor.initialize(0, "concat")
-    broken = {k: v.copy() for k, v in model.params.items()}
-    broken["fc1_w"] = np.zeros((320, 32))
-    with pytest.raises(models.ManifestMismatchError):
-        models.CnnPredictor(broken, "concat")
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_model_file_whose_config_names_a_context_mode_loads_and_predicts_the_same(kind):
+    # trained model files have carried "context_mode": "none" in their header
+    # config; the config is provenance only, so such a file still loads
+    model = models.KINDS[kind].initialize(16)
+    config = {"model": kind, "loss": "strict", "context_mode": "none"}
+    params = models.load(models.save(model.to_params(seed=16, config=config)))
+    assert params.config == config
+    restored = models.build_predictor(params)
+    for name, array in model.params.items():
+        np.testing.assert_array_equal(restored.params[name], array)
+    matrices = _random_snapshots(20, seed=17)
+    assert [restored.predict(m) for m in matrices] == [model.predict(m) for m in matrices]
+    ds = _tiny_dataset("one centre row")
+    np.testing.assert_array_equal(restored.predict_dataset(ds), model.predict_dataset(ds))
+
+
+def test_model_file_with_a_widened_first_dense_layer_is_refused():
+    params = models.CnnPredictor.initialize(0).to_params(config={"context_mode": "concat"})
+    params.arrays["fc1_w"] = np.zeros((322, 32))
+    with pytest.raises(models.ManifestMismatchError, match=r"\(322, 32\)"):
+        models.build_predictor(models.load(models.save(params)))
 
 
 def test_model_file_round_trip_via_disk(tmp_path):

@@ -349,9 +349,8 @@ def test_loss_gradient_reduces_to_plain_euclidean_when_targets_light():
     np.testing.assert_allclose(nn.loss_backward(batch), expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["strict", "rmse"])
 @pytest.mark.parametrize("seed", range(5))
-def test_loss_gradient_matches_finite_differences(kind, seed):
+def test_loss_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(4000 + seed)
     targets = rng.uniform(0, 1, size=16)
     preds = rng.uniform(0, 1, size=16)
@@ -360,22 +359,17 @@ def test_loss_gradient_matches_finite_differences(kind, seed):
     preds[near] += 5e-3
 
     def objective():
-        return nn.loss_forward(nn.LossBatch(preds, targets), kind)
+        return nn.loss_forward(nn.LossBatch(preds, targets))
 
-    grad = nn.loss_backward(nn.LossBatch(preds, targets), kind)
+    grad = nn.loss_backward(nn.LossBatch(preds, targets))
     assert rel_err(grad, central_diff(objective, preds)) < 1e-6
 
 
-def test_loss_rmse_variant_moves_mean_inside_sqrt():
+def test_loss_divides_by_n_outside_the_sqrt():
     preds = np.array([0.5, 0.2])
     targets = np.array([0.4, 0.8])
     total = (0.1) ** 2 + 1.0 * 0.1 + (0.6) ** 2  # second target is light (0.8 > 0.5)
-    assert nn.loss_forward(nn.LossBatch(preds, targets), "strict") == pytest.approx(
-        math.sqrt(total) / 2, abs=1e-12
-    )
-    assert nn.loss_forward(nn.LossBatch(preds, targets), "rmse") == pytest.approx(
-        math.sqrt(total / 2), abs=1e-12
-    )
+    assert nn.loss_forward(nn.LossBatch(preds, targets)) == pytest.approx(math.sqrt(total) / 2, abs=1e-12)
 
 
 def test_loss_errors():

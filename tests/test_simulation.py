@@ -188,9 +188,9 @@ def test_node_rejects_messages_from_strangers():
 
 @lru_cache(maxsize=None)
 def _schedule_world():
-    """A small world, a context-reading CNN, and the central predictions."""
+    """A small world, a CNN, and the central predictions."""
     spec, cfg, series = _world(n_points=10, days=1)
-    model = models.CnnPredictor.initialize(7, context_mode="concat")
+    model = models.CnnPredictor.initialize(7)
     central = {
         (_tick_of(snap, cfg), snap.point.id): model.predict_snapshot(snap)
         for snap in ingestion.window(series, spec, cfg).snapshots
@@ -233,7 +233,7 @@ def test_node_matches_central_under_any_timely_schedule(data):
                 node.receive(simulation.ConditionMessage(by_id[pid], t, START + step * t, condition))
             delivered.add((pid, t))
 
-        record = node.step(tick, START + step * tick)
+        record = node.step(tick)
         if tick < cfg.delta:
             assert record.skip_reason == simulation.SKIP_WARMUP
             continue
@@ -252,7 +252,7 @@ def test_node_matches_central_under_any_timely_schedule(data):
 class _Recorder:
     """A model that records the matrix it is asked to predict from."""
 
-    def predict(self, matrix, day_value=0.0, time_value=0.0):
+    def predict(self, matrix):
         self.matrix = matrix.copy()
         return 0.5
 
@@ -274,7 +274,7 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
     for tick in range(cfg.cols + 1):
         deliver(tick, tick / 10)
     last = cfg.cols  # window 1 .. cols; tick 0 has left it
-    assert node.step(last, START).prediction == 0.5
+    assert node.step(last).prediction == 0.5
     np.testing.assert_array_equal(recorder.matrix[0], np.arange(1, last + 1) / 10)
 
     # a late copy of tick 0 shares its slot with tick cols: ignored
@@ -282,7 +282,7 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
     # a repeat of tick cols - 1 overwrites it: the last copy wins
     node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.75))
     node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.125))
-    assert node.step(last, START).prediction == 0.5
+    assert node.step(last).prediction == 0.5
     assert recorder.matrix[0].tolist() == [*(t / 10 for t in range(1, last - 1)), 0.125, last / 10]
     assert recorder.matrix[1:].tolist() == [[t / 10 for t in range(1, last + 1)]] * (len(rows) - 1)
 
@@ -315,7 +315,7 @@ def test_node_refuses_a_condition_outside_the_unit_interval(condition, own):
         _send(node, sender, tick, condition)
     assert str(err.value) == f"{node.point.id}: condition {condition} from {sender.id} at tick {tick} is not in [0, 1]"
     # the refused reading left the window as it was
-    assert node.step(tick, START).prediction == 0.5
+    assert node.step(tick).prediction == 0.5
     np.testing.assert_array_equal(node.model.matrix, np.full((len(rows), span), 0.5))
 
 
@@ -326,7 +326,7 @@ def test_node_accepts_the_unit_interval_bounds(condition, own):
     for tick in range(node.cfg.cols):
         for p in rows:
             _send(node, p, tick, condition if p == sender else 0.5)
-    assert node.step(node.cfg.cols - 1, START).prediction == 0.5
+    assert node.step(node.cfg.cols - 1).prediction == 0.5
     assert node.model.matrix[rows.index(sender)].tolist() == [condition] * node.cfg.cols
 
 
@@ -343,7 +343,7 @@ def test_node_refuses_a_message_more_than_one_tick_ahead():
         f"{node.point.id}: message from {sender.id} at tick {span + 1} is ahead of the node's tick {span - 1}"
     )
     # the refused message left the window as it was
-    assert node.step(span - 1, START).prediction == 0.5
+    assert node.step(span - 1).prediction == 0.5
     np.testing.assert_array_equal(node.model.matrix, np.full((len(rows), span), 0.5))
     _send(node, sender, span, 0.25)
 
@@ -359,7 +359,7 @@ def test_a_message_stamped_far_ahead_no_longer_silences_the_node():
         if tick == 4:
             with pytest.raises(ValueError, match=f"from {sender.id} at tick 99 "):
                 _send(node, sender, 99, 0.5)
-        records.append(node.step(tick, START))
+        records.append(node.step(tick))
     assert [r.prediction for r in records[4:]] == [0.5] * 16
 
 
@@ -371,5 +371,5 @@ def test_node_clock_runs_on_past_a_missed_own_reading():
         for p in sorted(rows, key=lambda p: p == node.point):  # own reading last
             if (p, tick) != (node.point, 5):
                 _send(node, p, tick, 0.5)
-        node.step(tick, START)
-    assert node.step(7, START).skip_reason == f"{simulation.SKIP_STALE}:{node.point.id}"
+        node.step(tick)
+    assert node.step(7).skip_reason == f"{simulation.SKIP_STALE}:{node.point.id}"

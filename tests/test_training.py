@@ -204,12 +204,13 @@ def test_train_config_validation():
         training.TrainConfig(model="mlp")
     with pytest.raises(ValueError):
         training.TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        training.TrainConfig(loss="huber")
+    for loss in ("huber", "rmse"):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            training.TrainConfig(loss=loss)
     with pytest.raises(ValueError):
         training.SplitSpec(axis="rows")
     for bad in ({"epochs": "2"}, {"epochs": None}, {"batch_size": True}, {"lr": "0.1"}, {"seed": 1.0},
-                {"model": ["cnn"]}, {"context_mode": 0}, {"checkpoint_dir": 5}):
+                {"model": ["cnn"]}, {"loss": 0}, {"checkpoint_dir": 5}):
         with pytest.raises(ValueError, match="must be"):
             training.TrainConfig(**bad)
     with pytest.raises(ValueError, match="must be"):
