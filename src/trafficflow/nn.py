@@ -6,7 +6,11 @@ Training, dataset prediction and a node's single-snapshot prediction all
 run these kernels, so at batch 1 their cost is mostly numpy's per-call
 overhead, and each kernel keeps its call count low.  Each layer's weights
 meet the whole batch in one 2-D matrix product (the LSTM's recurrent
-product is one per timestep after the first).  Convolution patches are
+product is one per timestep after the first).  With ``per_sample=True`` a
+forward kernel instead runs each product as a stacked matmul, one BLAS call
+per sample with that sample's own shape, so every sample's output has the
+bits it has in a batch of one; a flat GEMM's blocking, and so its rounding
+of a row, depends on the batch size.  Convolution patches are
 gathered through a window view, an ndarray built over the contiguous
 input's buffer with its H and W strides repeated, in the weights' own
 (k, k, C) order, so the weight matrix is a view of the (k, k, C, F)
@@ -135,11 +139,14 @@ def conv2d_forward(
     weights: np.ndarray,
     biases: np.ndarray,
     activation: str = "relu",
+    *,
+    per_sample: bool = False,
 ) -> tuple[np.ndarray, ConvCache]:
     """Valid cross-correlation, stride 1, plus per-filter bias and activation.
 
     ``x`` is (B, H, W, C); ``weights`` is (k, k, C, F).  Returns the
-    activated (B, H-k+1, W-k+1, F) map and the backward cache.
+    activated (B, H-k+1, W-k+1, F) map and the backward cache.  With
+    ``per_sample`` each sample's map is its batch-of-one map, bit for bit.
     """
     x = _batch(x, 4, "(B, H, W, C)")
     weights = np.asarray(weights, dtype=np.float64)
@@ -167,10 +174,11 @@ def conv2d_forward(
     s_b, s_h, s_w, s_c = x.strides
     view = np.ndarray((b, out_h, out_w, k, k, c_in), np.float64, x, 0, (s_b, s_h, s_w, s_h, s_w, s_c))
     # one row per output position of every sample: a 2-D operand makes the
-    # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
+    # layer one GEMM, where a 4-D one makes matmul loop over B*H' products;
+    # per sample, a 3-D operand makes it B GEMMs of a batch of one's shape
     cols = view.reshape(b * out_h * out_w, k * k * c_in)
     w_mat = weights.reshape(k * k * c_in, f)
-    z = cols @ w_mat
+    z = cols.reshape(b, out_h * out_w, -1) @ w_mat if per_sample else cols @ w_mat
     z += biases
     z = z.reshape(b, out_h, out_w, f)
     out = _activate(z, activation)
@@ -237,8 +245,13 @@ def dense_forward(
     weights: np.ndarray,
     biases: np.ndarray,
     activation: str = "relu",
+    *,
+    per_sample: bool = False,
 ) -> tuple[np.ndarray, DenseCache]:
-    """Affine map plus activation: x (B, D) @ weights (D, K) + biases (K,)."""
+    """Affine map plus activation: x (B, D) @ weights (D, K) + biases (K,).
+
+    With ``per_sample`` each output row is its batch-of-one row, bit for bit.
+    """
     x = _batch(x, 2, "(B, D)")
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
@@ -248,7 +261,7 @@ def dense_forward(
         )
     if biases.shape != (weights.shape[1],):
         raise ShapeMismatchError(f"biases must be ({weights.shape[1]},), got {biases.shape}")
-    z = x @ weights
+    z = (x[:, None] @ weights)[:, 0] if per_sample else x @ weights
     z += biases
     out = _activate(z, activation)
     return out, DenseCache(x, weights, z, out, activation)
@@ -343,17 +356,25 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
+def _per_sample_dot(rows: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """``rows @ weights`` into ``out``, one (1, K) @ (K, N) product per row."""
+    np.matmul(rows[:, None], weights, out=out[:, None])
+
+
 def lstm_forward(
     xs: np.ndarray,
     w_x: np.ndarray,
     w_h: np.ndarray,
     b: np.ndarray,
+    *,
+    per_sample: bool = False,
 ) -> tuple[np.ndarray, LstmCache]:
     """Run a full sequence (B, T, D) from zero initial state.
 
     i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
     all hidden states (B, T, H), a view of the cache's ``h``, plus the BPTT
-    cache.
+    cache.  With ``per_sample`` each sample's states are its batch-of-one
+    states, bit for bit.
     """
     xs = _batch(xs, 3, "(B, T, D)")
     w_x = np.asarray(w_x, dtype=np.float64)
@@ -368,7 +389,12 @@ def lstm_forward(
     # projection does not depend on the recurrence: one GEMM for every
     # timestep, leaving only h @ w_h inside the loop.
     scale, offset = _gate_affine(hidden)
-    zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale[0]).reshape(batch, steps, 4 * hidden)
+    if per_sample:
+        zx = xs @ (w_x * scale) + b * scale[0]
+        recur = _per_sample_dot
+    else:
+        zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale[0]).reshape(batch, steps, 4 * hidden)
+        recur = np.dot  # the GEMM that @ runs, for less per-call overhead
     w_h_half = w_h * scale
     gates = np.empty((steps, batch, 4 * hidden))
     c = np.zeros((steps + 1, batch, hidden))
@@ -381,8 +407,8 @@ def lstm_forward(
     for t, (z, zx_t, i_t, f_t, g_t, o_t, c_prev, c_t, tanh_c_t, h_prev, h_t) in enumerate(
         zip(gates, zx.transpose(1, 0, 2), i, f, g, o, c, c[1:], tanh_c, h, h[1:])
     ):
-        if t:  # np.dot: the GEMM that @ runs, for less per-call overhead
-            np.dot(h_prev, w_h_half, out=z)
+        if t:
+            recur(h_prev, w_h_half, out=z)
             z += zx_t
             np.tanh(z, out=z)
         else:  # h_0 = 0: the pre-activations are the input projection alone

@@ -8,6 +8,11 @@ locally assembled snapshot.  The tick barrier delivers all of a tick's
 messages before any node computes, which makes node predictions exactly
 equal to the centralized windowed pipeline.
 
+Each node assembles its own window; the replay then runs the model once per
+tick over the stack of that tick's fresh windows.  Every product of that
+pass runs per sample (``predict_each``), so each node's prediction is,
+bit for bit, the one its own ``predict`` would give.
+
 Delivery order within a tick does not matter.  Each ring slot keeps the
 newest tick written to it: a late message older than its slot's tick is
 ignored, and a duplicate (sender, tick) overwrites the earlier copy, the
@@ -118,6 +123,8 @@ class Node:
         self._span = cfg.cols
         self._values = np.zeros((len(self.row_ids), self._span))
         self._stamps = np.full((len(self.row_ids), self._span), -1)  # -1: never written
+        # row t % span: the slots of ticks t - delta .. t, oldest first
+        self._slots = (np.arange(self._span)[:, None] + np.arange(1, self._span + 1)) % self._span
         self._clock = -1  # newest tick observed or stepped
 
     def observe(self, tick: int, condition: float) -> None:
@@ -146,20 +153,30 @@ class Node:
             self._stamps[row, slot] = tick
             self._values[row, slot] = condition
 
-    def step(self, tick: int) -> SimRecord:
-        """Attempt a prediction for tick + horizon from the buffered window."""
+    def window(self, tick: int) -> np.ndarray | SimRecord:
+        """The buffered (rows, delta + 1) window for tick, oldest column
+        first, or the skip record when the window is incomplete."""
         if tick > self._clock:
             self._clock = tick
-        if tick < self.cfg.delta:
+        delta = self.cfg.delta
+        if tick < delta:
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
-        window = np.arange(tick - self.cfg.delta, tick + 1)
-        slots = window % self._span
-        fresh = self._stamps[:, slots] == window
-        if not fresh.all():
-            stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
-            return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
-        prediction = self.model.predict(self._values[:, slots])
-        return SimRecord(tick, self.point.id, prediction, None)
+        # slot s only ever holds ticks congruent to s mod delta + 1, so the window is
+        # fresh exactly when every stamp lies in [tick - delta, tick]
+        stamps = self._stamps
+        if stamps.min() >= tick - delta and stamps.max() <= tick:
+            return self._values[:, self._slots[tick % self._span]]
+        window = np.arange(tick - delta, tick + 1)
+        fresh = stamps[:, window % self._span] == window
+        stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
+        return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
+
+    def step(self, tick: int) -> SimRecord:
+        """Attempt a prediction for tick + horizon from the buffered window."""
+        window = self.window(tick)
+        if isinstance(window, SimRecord):
+            return window
+        return SimRecord(tick, self.point.id, self.model.predict(window), None)
 
 
 def run(
@@ -174,6 +191,8 @@ def run(
 
     ``drop(from_id, to_id, tick)`` injects message loss.  The replay is
     deterministic; message accounting counts per-subscriber deliveries.
+    Each tick's records equal every node's ``step``, in node order, with one
+    ``model.predict_each`` over the tick's fresh windows.
     """
     values, start = aligned_grid(series, spec, cfg.step_minutes)
     total_ticks = values.shape[1] if ticks is None else min(ticks, values.shape[1])
@@ -207,8 +226,13 @@ def run(
                     continue
                 node.receive(message)
                 delivered += 1
-        for node in nodes:
-            records.append(node.step(tick))
+        windows = [node.window(tick) for node in nodes]
+        fresh = [w for w in windows if not isinstance(w, SimRecord)]
+        predictions = iter(model.predict_each(np.stack(fresh)).tolist() if fresh else ())
+        records.extend(
+            w if isinstance(w, SimRecord) else SimRecord(tick, node.point.id, next(predictions), None)
+            for node, w in zip(nodes, windows)
+        )
 
     return SimLog(
         records=records,

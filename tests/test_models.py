@@ -213,16 +213,42 @@ def test_predict_dataset_is_independent_of_chunk_size():
 def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
     # a node's predict goes through the kernels that training and
     # predict_dataset run, each with a batch of one: a predict-only forward
-    # would fork the arithmetic that the 1e-12 bounds tie together
+    # would fork the arithmetic that the 1e-12 bounds tie together.
+    # predict_each runs each kernel once for the whole stack, per sample.
     batches = {name: [] for name in calls}
     for name in calls:
         def counting(x, *args, _original=getattr(nn, name), _batches=batches[name], **kwargs):
-            _batches.append(np.shape(x)[0])
+            _batches.append((np.shape(x)[0], kwargs.get("per_sample", False)))
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(nn, name, counting)
-    models.KINDS[kind].initialize(4).predict(_random_snapshots(1, seed=9)[0])
-    assert batches == {name: [1] * count for name, count in calls.items()}
+    model = models.KINDS[kind].initialize(4)
+    model.predict(_random_snapshots(1, seed=9)[0])
+    assert batches == {name: [(1, True)] * count for name, count in calls.items()}
+    for n in (1, 2, 37):
+        for calls_of_kernel in batches.values():
+            calls_of_kernel.clear()
+        model.predict_each(_random_snapshots(n, seed=n))
+        assert batches == {name: [(n, True)] * count for name, count in calls.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(models.KINDS)),
+    batch=st.integers(1, 64),
+    params_seed=st.integers(0, 2**16),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_each_gives_every_matrix_its_own_predict_bit_for_bit(kind, batch, params_seed, data_seed):
+    # the simulator's one pass per tick must give each node exactly its
+    # batch-of-one prediction; a flat GEMM over the stack rounds rows
+    # differently at some batch sizes
+    model = models.KINDS[kind].initialize(params_seed)
+    stack = _random_snapshots(batch, seed=data_seed)
+    single = np.array([model.predict(m) for m in stack])
+    each = model.predict_each(stack)
+    assert each.shape == (batch,)
+    assert each.view(np.int64).tolist() == single.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

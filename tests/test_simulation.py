@@ -56,6 +56,52 @@ def test_node_predictions_bit_identical_to_centralized_pipeline(kind):
         assert sims[key] == model.predict_snapshot(snap)
 
 
+def _node_step_replay(series, spec, cfg, model, drop):
+    """The replay with each node predicting on its own, through ``Node.step``."""
+    values, _ = ingestion.aligned_grid(series, spec, cfg.step_minutes)
+    by_id = {p.id: p for p in spec.points}
+    nodes = [simulation.Node(p, core.neighbor_rows(spec, p, cfg), model, cfg) for p in core.eligible_points(spec, cfg)]
+    records = []
+    for tick in range(values.shape[1]):
+        column = dict(zip(by_id, values[:, tick].tolist()))
+        for node in nodes:
+            node.observe(tick, column[node.point.id])
+            for pid in sorted(node.neighbor_ids):
+                if not drop(pid, node.point.id, tick):
+                    node.receive(simulation.ConditionMessage(by_id[pid], tick, START, column[pid]))
+        records.extend(node.step(tick) for node in nodes)
+    return records
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_run_gives_the_records_of_a_per_node_step_replay(kind):
+    # run predicts a whole tick in one pass; each record must still be the
+    # node's own step: same order, same skips, same prediction bits
+    spec, cfg, series = _world()
+    model = models.KINDS[kind].initialize(8)
+    rng = np.random.default_rng(4)
+    dropped = {
+        (pid, node.id, int(t))
+        for node in core.eligible_points(spec, cfg)
+        for pid in (p.id for p in core.neighbor_rows(spec, node, cfg) if p != node)
+        for t in np.flatnonzero(rng.random(len(series[0].values)) < 0.03)
+    }
+
+    def drop(sender, receiver, tick):
+        return (sender, receiver, tick) in dropped
+
+    log = simulation.run(series, spec, cfg, model, drop=drop)
+    reference = _node_step_replay(series, spec, cfg, model, drop)
+    assert log.messages_dropped == len(dropped) > 0
+    assert sum(r.prediction is None for r in reference) > len(core.eligible_points(spec, cfg)) * cfg.delta
+    assert [(r.tick, r.point_id, r.skip_reason) for r in log.records] == [
+        (r.tick, r.point_id, r.skip_reason) for r in reference
+    ]
+    got = np.array([np.nan if r.prediction is None else r.prediction for r in log.records])
+    want = np.array([np.nan if r.prediction is None else r.prediction for r in reference])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_simulation_covers_final_ticks_without_targets():
     # the node predicts at the last tick too, where no windowed snapshot
     # exists because the target is beyond the series end
@@ -346,6 +392,23 @@ def test_node_refuses_a_message_more_than_one_tick_ahead():
     assert node.step(span - 1).prediction == 0.5
     np.testing.assert_array_equal(node.model.matrix, np.full((len(rows), span), 0.5))
     _send(node, sender, span, 0.25)
+
+
+def test_a_message_of_the_next_tick_takes_the_oldest_slot_of_the_window():
+    # tick span shares its ring slot with tick 0, the oldest tick of tick
+    # span - 1's window: a step of that tick after it finds the window stale
+    node, rows, sender = _node_and_sender(own=False)
+    span = node.cfg.cols
+    for tick in range(span):
+        for p in rows:
+            _send(node, p, tick, 0.5)
+    _send(node, sender, span, 0.25)
+    assert node.step(span - 1).skip_reason == f"{simulation.SKIP_STALE}:{sender.id}"
+    for p in rows:
+        if p != sender:
+            _send(node, p, span, 0.5)
+    assert node.step(span).prediction == 0.5
+    assert node.model.matrix[rows.index(sender)].tolist() == [0.5] * (span - 1) + [0.25]
 
 
 def test_a_message_stamped_far_ahead_no_longer_silences_the_node():
