@@ -302,7 +302,7 @@ class LstmPredictor(_Predictor):
 
     kind = "lstm"
     _manifest = staticmethod(_lstm_manifest)
-    # the forget gates' slice of each layer's [i, f, o, g] bias
+    # the forget gates' slice of each layer's [i, f, g, o] bias
     unit_biases = dict.fromkeys(("l1_b", "l2_b"), slice(_LSTM_HIDDEN, 2 * _LSTM_HIDDEN))
 
     def forward_batch(self, matrices: np.ndarray, *, per_sample: bool = False):

@@ -8,10 +8,13 @@ locally assembled snapshot.  The tick barrier delivers all of a tick's
 messages before any node computes, which makes node predictions exactly
 equal to the centralized windowed pipeline.
 
-Each node assembles its own window; the replay then runs the model once per
-tick over the stack of that tick's fresh windows.  Every product of that
-pass runs per sample (``predict_each``), so each node's prediction is,
-bit for bit, the one its own ``predict`` would give.
+``run`` keeps every node's ring as one block of a per-replay bank and
+delivers a tick with one write into all the blocks; each node reads only
+its own block.  The model then runs once per tick over the stack of that
+tick's fresh windows.  Every product of that pass runs per sample
+(``predict_each``), so each node's prediction is, bit for bit, the one its
+own ``predict`` would give.  ``Node.receive`` is the checked per-message
+boundary for messages from outside a replay.
 
 Delivery order within a tick does not matter.  Each ring slot keeps the
 newest tick written to it: a late message older than its slot's tick is
@@ -28,7 +31,7 @@ the hole leaves its window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,12 +91,29 @@ class SimLog:
         }
 
 
+def _slot_table(span: int) -> np.ndarray:
+    """Row t % span: the ring slots of ticks t - span + 1 .. t, oldest first."""
+    return (np.arange(span)[:, None] + np.arange(1, span + 1)) % span
+
+
+def _fresh(stamps: np.ndarray, tick: int, delta: int, axis=None):
+    """Whether the ring(s) hold every cell of tick's window.  Slot s only
+    ever holds ticks congruent to s mod delta + 1, so a window is complete
+    exactly when every stamp lies in [tick - delta, tick]."""
+    return (stamps.min(axis=axis) >= tick - delta) & (stamps.max(axis=axis) <= tick)
+
+
 class Node:
     """One eligible point: a model copy, a ring buffer, no global state.
 
     The node sees exactly its own sensor readings and the condition
-    messages of its ``n_in + m_out`` declared neighbours; the locality
-    property of the whole scheme rests on this constructor signature.
+    messages of its ``n_in + m_out`` declared neighbours, the rows it is
+    built with; the locality property of the whole scheme rests on this.
+    Built alone, the node owns its ring buffer.  Inside ``run`` the buffer
+    is the node's own block of the replay's bank: ``run`` delivers a tick
+    with one write into every node's block, and each node reads only its
+    own.  ``receive`` is the checked per-message boundary for messages from
+    outside a replay.
 
     Each source row keeps ``delta + 1`` slots; tick t goes to slot
     ``t % (delta + 1)``, stamped with t.  A slot keeps the newest tick it
@@ -114,6 +134,11 @@ class Node:
     """
 
     def __init__(self, point: PointId, rows: Sequence[PointId], model, cfg: SnapshotConfig):
+        shape = (len(rows), cfg.cols)
+        self._bind(point, rows, model, cfg, np.zeros(shape), np.full(shape, -1), _slot_table(cfg.cols))
+
+    def _bind(self, point, rows, model, cfg, values, stamps, slots) -> None:
+        """Set the node up on a ring: its own arrays, or its block of a bank."""
         self.point = point
         self.cfg = cfg
         self.model = model
@@ -121,10 +146,9 @@ class Node:
         self.neighbor_ids = frozenset(p.id for p in rows if p.id != point.id)
         self._row = {pid: r for r, pid in enumerate(self.row_ids)}
         self._span = cfg.cols
-        self._values = np.zeros((len(self.row_ids), self._span))
-        self._stamps = np.full((len(self.row_ids), self._span), -1)  # -1: never written
-        # row t % span: the slots of ticks t - delta .. t, oldest first
-        self._slots = (np.arange(self._span)[:, None] + np.arange(1, self._span + 1)) % self._span
+        self._values = values
+        self._stamps = stamps  # -1: never written
+        self._slots = slots
         self._clock = -1  # newest tick observed or stepped
 
     def observe(self, tick: int, condition: float) -> None:
@@ -161,13 +185,10 @@ class Node:
         delta = self.cfg.delta
         if tick < delta:
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
-        # slot s only ever holds ticks congruent to s mod delta + 1, so the window is
-        # fresh exactly when every stamp lies in [tick - delta, tick]
-        stamps = self._stamps
-        if stamps.min() >= tick - delta and stamps.max() <= tick:
+        if _fresh(self._stamps, tick, delta):
             return self._values[:, self._slots[tick % self._span]]
         window = np.arange(tick - delta, tick + 1)
-        fresh = stamps[:, window % self._span] == window
+        fresh = self._stamps[:, window % self._span] == window
         stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
         return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
 
@@ -189,55 +210,79 @@ def run(
 ) -> SimLog:
     """Replay aligned series through the node network, synchronously.
 
-    ``drop(from_id, to_id, tick)`` injects message loss.  The replay is
-    deterministic; message accounting counts per-subscriber deliveries.
-    Each tick's records equal every node's ``step``, in node order, with one
-    ``model.predict_each`` over the tick's fresh windows.
+    ``drop(from_id, to_id, tick)`` injects message loss.  It is called once
+    per link and tick: senders in network order, each sender's listeners in
+    node order.  The replay is deterministic; message accounting counts
+    per-subscriber deliveries.  Each tick's records equal every node's
+    ``step``, in node order, with one ``model.predict_each`` over the tick's
+    fresh windows.
+
+    A tick is delivered as one write into slot ``tick % (delta + 1)`` of
+    every node's ring, skipping only dropped links.  ``receive``'s checks
+    cannot fire here: CleanSeries holds only conditions in [0, 1], every
+    sender is one of the node's own rows, every slot's stamp is older than
+    the tick, and every message is stamped with the node's own tick.
     """
-    values, start = aligned_grid(series, spec, cfg.step_minutes)
+    values, _ = aligned_grid(series, spec, cfg.step_minutes)
     total_ticks = values.shape[1] if ticks is None else min(ticks, values.shape[1])
+    delta, span = cfg.delta, cfg.cols
 
-    nodes = [
-        Node(point, neighbor_rows(spec, point, cfg), model, cfg)
-        for point in eligible_points(spec, cfg)
-    ]
-    # subscriber index: sender id -> nodes listening to it
-    listeners: dict[str, list[Node]] = {p.id: [] for p in spec.points}
-    for node in nodes:
-        for pid in node.neighbor_ids:
-            listeners[pid].append(node)
-
+    points = eligible_points(spec, cfg)
+    rows = [neighbor_rows(spec, point, cfg) for point in points]
     position = {p.id: k for k, p in enumerate(spec.points)}
-    step = timedelta(minutes=cfg.step_minutes)
+    # source[k, r]: network position of node k's row r
+    source = np.array([[position[p.id] for p in row] for row in rows], dtype=np.intp).reshape(len(points), cfg.rows)
+    bank = np.zeros((len(points), cfg.rows, span))
+    stamps = np.full(bank.shape, -1)
+    slots = _slot_table(span)
+    nodes = []
+    for k, point in enumerate(points):
+        node = Node.__new__(Node)
+        node._bind(point, rows[k], model, cfg, bank[k], stamps[k], slots)
+        nodes.append(node)
+    # (sender, listener, bank cell) of every link: senders in network order,
+    # each sender's listeners in node order
+    links = [
+        (spec.points[s].id, points[k].id, k, r)
+        for s, k, r in sorted((s, k, r) for (k, r), s in np.ndenumerate(source) if r != cfg.n_in)
+    ]
+    ids = [point.id for point in points]
+    row_index = np.arange(cfg.rows)[:, None]
+
     delivered = 0
     dropped = 0
     records: list[SimRecord] = []
     for tick in range(total_ticks):
-        timestamp = start + step * tick
-        column = values[:, tick].tolist()
-        for node in nodes:
-            node.observe(tick, column[position[node.point.id]])
-        for sender, condition in zip(spec.points, column):
-            # one immutable message per sender and tick, shared by its listeners
-            message = ConditionMessage(sender, tick, timestamp, condition)
-            for node in listeners[sender.id]:
-                if drop is not None and drop(sender.id, node.point.id, tick):
-                    dropped += 1
-                    continue
-                node.receive(message)
-                delivered += 1
-        windows = [node.window(tick) for node in nodes]
-        fresh = [w for w in windows if not isinstance(w, SimRecord)]
-        predictions = iter(model.predict_each(np.stack(fresh)).tolist() if fresh else ())
-        records.extend(
-            w if isinstance(w, SimRecord) else SimRecord(tick, node.point.id, next(predictions), None)
-            for node, w in zip(nodes, windows)
+        slot = tick % span
+        sent = values[source, tick]
+        lost = [(k, r) for sender, receiver, k, r in links if drop(sender, receiver, tick)] if drop is not None else []
+        if lost:
+            keep = np.ones(sent.shape, dtype=bool)
+            keep[tuple(zip(*lost))] = False
+            np.copyto(bank[:, :, slot], sent, where=keep)
+            np.copyto(stamps[:, :, slot], tick, where=keep)
+        else:
+            bank[:, :, slot] = sent
+            stamps[:, :, slot] = tick
+        delivered += len(links) - len(lost)
+        dropped += len(lost)
+
+        fresh = _fresh(stamps, tick, delta, axis=(1, 2)) if tick >= delta else np.zeros(len(nodes), dtype=bool)
+        picked = np.flatnonzero(fresh)
+        predictions = iter(
+            model.predict_each(bank[picked[:, None, None], row_index, slots[slot]]).tolist() if picked.size else ()
         )
+        records.extend(
+            SimRecord(tick, pid, next(predictions), None) if ok else node.window(tick)
+            for node, pid, ok in zip(nodes, ids, fresh.tolist())
+        )
+    for node in nodes:  # as if each node had observed every tick
+        node._clock = total_ticks - 1
 
     return SimLog(
         records=records,
         ticks=total_ticks,
-        subscriptions=sum(len(node.neighbor_ids) for node in nodes),
+        subscriptions=len(links),
         messages_delivered=delivered,
         messages_dropped=dropped,
     )

@@ -259,6 +259,18 @@ def test_clean_is_idempotent_on_its_own_output():
     assert first.start == second.start
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1, 1.1])
+def test_clean_series_refuses_a_condition_outside_the_unit_interval(bad):
+    # the replay delivers a tick's conditions without a per-message check,
+    # so this is the check that keeps them in [0, 1]
+    with pytest.raises(ValueError, match=r"^conditions must lie in \[0, 1\]$"):
+        make_clean(P0, [0.5, bad, 0.5])
+
+
+def test_clean_series_accepts_the_unit_interval_bounds():
+    assert make_clean(P0, [0.0, 1.0, 0.5]).values.tolist() == [0.0, 1.0, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # differential test against a per-row parser and cleaner
 

@@ -1,11 +1,12 @@
 """Decentralized node simulation: warm-up, equivalence, faults, locality."""
 
+import dataclasses
 from datetime import timedelta
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trafficflow import core, ingestion, models, simulation
@@ -56,50 +57,123 @@ def test_node_predictions_bit_identical_to_centralized_pipeline(kind):
         assert sims[key] == model.predict_snapshot(snap)
 
 
-def _node_step_replay(series, spec, cfg, model, drop):
-    """The replay with each node predicting on its own, through ``Node.step``."""
+def _node_step_replay(series, spec, cfg, model, drop, ticks=None):
+    """The replay with each node predicting on its own, through ``Node.step``:
+    its records and the messages delivered and dropped."""
     values, _ = ingestion.aligned_grid(series, spec, cfg.step_minutes)
     by_id = {p.id: p for p in spec.points}
     nodes = [simulation.Node(p, core.neighbor_rows(spec, p, cfg), model, cfg) for p in core.eligible_points(spec, cfg)]
     records = []
-    for tick in range(values.shape[1]):
+    delivered = dropped = 0
+    for tick in range(values.shape[1] if ticks is None else min(ticks, values.shape[1])):
         column = dict(zip(by_id, values[:, tick].tolist()))
         for node in nodes:
             node.observe(tick, column[node.point.id])
             for pid in sorted(node.neighbor_ids):
-                if not drop(pid, node.point.id, tick):
+                if drop(pid, node.point.id, tick):
+                    dropped += 1
+                else:
                     node.receive(simulation.ConditionMessage(by_id[pid], tick, START, column[pid]))
+                    delivered += 1
         records.extend(node.step(tick) for node in nodes)
-    return records
+    return records, delivered, dropped
+
+
+class _Padded:
+    """A predictor on windows of any geometry up to 9 x 5: each window is
+    zero-padded into a snapshot matrix, which the 9 x 5 geometry leaves as
+    it is."""
+
+    def __init__(self, model):
+        self.model = model
+
+    @staticmethod
+    def _pad(windows):
+        out = np.zeros(windows.shape[:-2] + (models.SNAP_ROWS, models.SNAP_COLS))
+        out[..., : windows.shape[-2], : windows.shape[-1]] = windows
+        return out
+
+    def predict(self, window):
+        return self.model.predict(self._pad(window))
+
+    def predict_each(self, windows):
+        return self.model.predict_each(self._pad(windows))
+
+
+@st.composite
+def _replays(draw):
+    """(n_in, m_out, delta, points, ticks, drop rate, drop seed) of a replay:
+    networks from no eligible node up, ticks from none to the whole series."""
+    n_in, m_out = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    delta = draw(st.integers(1, 3))
+    points = n_in + m_out + draw(st.integers(0 if n_in + m_out else 1, 3))
+    ticks = draw(st.none() | st.integers(0, delta - 1))
+    return n_in, m_out, delta, points, ticks, draw(st.floats(0, 0.1)), draw(st.integers(0, 2**16))
+
+
+_FIRST_REPLAY = (4, 4, 4, 12, None, 0.03, 4)  # the benchmark geometry, two days
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
-def test_run_gives_the_records_of_a_per_node_step_replay(kind):
-    # run predicts a whole tick in one pass; each record must still be the
-    # node's own step: same order, same skips, same prediction bits
-    spec, cfg, series = _world()
-    model = models.KINDS[kind].initialize(8)
-    rng = np.random.default_rng(4)
+@given(replay=_replays())
+@example(replay=_FIRST_REPLAY)
+def test_run_gives_the_records_of_a_per_node_step_replay(kind, replay):
+    # run predicts a whole tick in one pass from one bank of rings; each
+    # record must still be the node's own step: same order, same skips, same
+    # prediction bits, and the same message counts
+    n_in, m_out, delta, points, ticks, rate, seed = replay
+    spec, cfg, series = _world(points, days=2 if replay == _FIRST_REPLAY else 1)
+    cfg = dataclasses.replace(cfg, delta=delta, n_in=n_in, m_out=m_out)
+    model = _Padded(models.KINDS[kind].initialize(8))
+    rng = np.random.default_rng(seed)
     dropped = {
         (pid, node.id, int(t))
         for node in core.eligible_points(spec, cfg)
         for pid in (p.id for p in core.neighbor_rows(spec, node, cfg) if p != node)
-        for t in np.flatnonzero(rng.random(len(series[0].values)) < 0.03)
+        for t in np.flatnonzero(rng.random(len(series[0].values)) < rate)
     }
 
     def drop(sender, receiver, tick):
         return (sender, receiver, tick) in dropped
 
-    log = simulation.run(series, spec, cfg, model, drop=drop)
-    reference = _node_step_replay(series, spec, cfg, model, drop)
-    assert log.messages_dropped == len(dropped) > 0
-    assert sum(r.prediction is None for r in reference) > len(core.eligible_points(spec, cfg)) * cfg.delta
+    log = simulation.run(series, spec, cfg, model, ticks=ticks, drop=drop)
+    reference, delivered, lost = _node_step_replay(series, spec, cfg, model, drop, ticks)
+    assert (log.messages_delivered, log.messages_dropped) == (delivered, lost)
+    assert lost == sum(t < log.ticks for *_, t in dropped)
+    if replay == _FIRST_REPLAY:  # the drops silence nodes beyond the warm-up
+        assert lost > 0
+        assert sum(r.prediction is None for r in reference) > len(core.eligible_points(spec, cfg)) * delta
     assert [(r.tick, r.point_id, r.skip_reason) for r in log.records] == [
         (r.tick, r.point_id, r.skip_reason) for r in reference
     ]
     got = np.array([np.nan if r.prediction is None else r.prediction for r in log.records])
     want = np.array([np.nan if r.prediction is None else r.prediction for r in reference])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_drop_is_asked_once_per_link_and_tick_in_network_then_node_order():
+    # senders in network order, each sender's listeners in node order; a
+    # predicate that keeps state sees the same sequence whatever it answers
+    spec, cfg, series = _world()
+    cfg = dataclasses.replace(cfg, n_in=2, m_out=3)
+    nodes = core.eligible_points(spec, cfg)
+    calls = []
+
+    def drop(sender, receiver, tick):
+        calls.append((sender, receiver, tick))
+        return len(calls) % 7 == 0
+
+    ticks = cfg.delta + 3
+    log = simulation.run(series, spec, cfg, _Padded(models.CnnPredictor.initialize(0)), ticks=ticks, drop=drop)
+    assert calls == [
+        (sender.id, node.id, tick)
+        for tick in range(ticks)
+        for sender in spec.points
+        for node in nodes
+        if sender != node and sender in core.neighbor_rows(spec, node, cfg)
+    ]
+    assert log.messages_dropped == len(calls) // 7
+    assert log.messages_delivered == len(calls) - len(calls) // 7
 
 
 def test_simulation_covers_final_ticks_without_targets():
