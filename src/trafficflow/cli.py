@@ -36,7 +36,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise ValueError(f"config override {pair!r} is not key=value")
         key, value = pair.split("=", 1)
-        overrides[key.strip()] = int(value)
+        try:
+            overrides[key.strip()] = int(value)
+        except ValueError:
+            raise ValueError(f"config override {pair!r} is not an integer") from None
     return overrides
 
 
@@ -150,7 +153,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.point:
         matches = [p for p in dataset.spec.points if p.id == args.point]
         if not matches:
-            raise evaluation.UnknownPointError(args.point)
+            raise evaluation.UnknownPointError(f"point {args.point!r} is not in the dataset")
         point = matches[0]
     curve_day = date_type.fromisoformat(args.date) if args.date else None
     report = evaluation.evaluate_models(predictors, dataset, slots=slots, point=point, curve_day=curve_day)

@@ -43,6 +43,9 @@ __all__ = [
 class UnknownPointError(KeyError):
     """Requested point does not occur in the dataset."""
 
+    def __str__(self) -> str:  # the message itself, not KeyError's repr of it
+        return Exception.__str__(self)
+
 
 @dataclass(frozen=True)
 class DailyRmseRecord:

@@ -8,13 +8,15 @@ locally assembled snapshot.  The tick barrier delivers all of a tick's
 messages before any node computes, which makes node predictions exactly
 equal to the centralized windowed pipeline.
 
-``run`` keeps every node's ring as one block of a per-replay bank and
-delivers a tick with one write into all the blocks; each node reads only
-its own block.  The model then runs once per tick over the stack of that
-tick's fresh windows.  Every product of that pass runs per sample
-(``predict_each``), so each node's prediction is, bit for bit, the one its
-own ``predict`` would give.  ``Node.receive`` is the checked per-message
-boundary for messages from outside a replay.
+``run`` builds no nodes.  Its only fault is a dropped message, and a
+delivered cell holds the grid's value, so each node's window is the grid's
+block of the node's rows whenever none of its cells was dropped; ``run``
+keeps just the newest tick at which each link was dropped.  The model then
+runs once per tick over the stack of that tick's fresh windows.  Every
+product of that pass runs per sample (``predict_each``), so each node's
+prediction is, bit for bit, the one its own ``predict`` would give.
+``Node`` is the checked boundary for messages from outside a replay and
+the reference that ``run``'s records must equal.
 
 Delivery order within a tick does not matter.  Each ring slot keeps the
 newest tick written to it: a late message older than its slot's tick is
@@ -31,7 +33,6 @@ the hole leaves its window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +60,6 @@ class ConditionMessage:
 
     from_point: PointId
     tick: int
-    timestamp: datetime
     condition: float
 
 
@@ -91,29 +91,15 @@ class SimLog:
         }
 
 
-def _slot_table(span: int) -> np.ndarray:
-    """Row t % span: the ring slots of ticks t - span + 1 .. t, oldest first."""
-    return (np.arange(span)[:, None] + np.arange(1, span + 1)) % span
-
-
-def _fresh(stamps: np.ndarray, tick: int, delta: int, axis=None):
-    """Whether the ring(s) hold every cell of tick's window.  Slot s only
-    ever holds ticks congruent to s mod delta + 1, so a window is complete
-    exactly when every stamp lies in [tick - delta, tick]."""
-    return (stamps.min(axis=axis) >= tick - delta) & (stamps.max(axis=axis) <= tick)
-
-
 class Node:
     """One eligible point: a model copy, a ring buffer, no global state.
 
     The node sees exactly its own sensor readings and the condition
     messages of its ``n_in + m_out`` declared neighbours, the rows it is
     built with; the locality property of the whole scheme rests on this.
-    Built alone, the node owns its ring buffer.  Inside ``run`` the buffer
-    is the node's own block of the replay's bank: ``run`` delivers a tick
-    with one write into every node's block, and each node reads only its
-    own.  ``receive`` is the checked per-message boundary for messages from
-    outside a replay.
+    ``receive`` is the checked per-message boundary for messages from
+    outside a replay; ``run`` replays without nodes, and its records equal
+    every node's ``step``.
 
     Each source row keeps ``delta + 1`` slots; tick t goes to slot
     ``t % (delta + 1)``, stamped with t.  A slot keeps the newest tick it
@@ -134,21 +120,17 @@ class Node:
     """
 
     def __init__(self, point: PointId, rows: Sequence[PointId], model, cfg: SnapshotConfig):
-        shape = (len(rows), cfg.cols)
-        self._bind(point, rows, model, cfg, np.zeros(shape), np.full(shape, -1), _slot_table(cfg.cols))
-
-    def _bind(self, point, rows, model, cfg, values, stamps, slots) -> None:
-        """Set the node up on a ring: its own arrays, or its block of a bank."""
         self.point = point
         self.cfg = cfg
         self.model = model
         self.row_ids = [p.id for p in rows]
         self.neighbor_ids = frozenset(p.id for p in rows if p.id != point.id)
         self._row = {pid: r for r, pid in enumerate(self.row_ids)}
-        self._span = cfg.cols
-        self._values = values
-        self._stamps = stamps  # -1: never written
-        self._slots = slots
+        span = self._span = cfg.cols
+        self._values = np.zeros((len(rows), span))
+        self._stamps = np.full(self._values.shape, -1)  # -1: never written
+        # row t % span: the slots of ticks t - span + 1 .. t, oldest first
+        self._slots = (np.arange(span)[:, None] + np.arange(1, span + 1)) % span
         self._clock = -1  # newest tick observed or stepped
 
     def observe(self, tick: int, condition: float) -> None:
@@ -185,7 +167,9 @@ class Node:
         delta = self.cfg.delta
         if tick < delta:
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
-        if _fresh(self._stamps, tick, delta):
+        # slot s only ever holds ticks congruent to s mod delta + 1, so the
+        # window is complete exactly when every stamp lies in it
+        if self._stamps.min() >= tick - delta and self._stamps.max() <= tick:
             return self._values[:, self._slots[tick % self._span]]
         window = np.arange(tick - delta, tick + 1)
         fresh = self._stamps[:, window % self._span] == window
@@ -215,69 +199,62 @@ def run(
     node order.  The replay is deterministic; message accounting counts
     per-subscriber deliveries.  Each tick's records equal every node's
     ``step``, in node order, with one ``model.predict_each`` over the tick's
-    fresh windows.
+    fresh windows.  ``ticks`` (default: the whole series) must not be
+    negative; ValueError otherwise.
 
-    A tick is delivered as one write into slot ``tick % (delta + 1)`` of
-    every node's ring, skipping only dropped links.  ``receive``'s checks
-    cannot fire here: CleanSeries holds only conditions in [0, 1], every
-    sender is one of the node's own rows, every slot's stamp is older than
-    the tick, and every message is stamped with the node's own tick.
+    A row is stale while the newest tick at which its link was dropped lies
+    in the window; fresh windows are read straight from the grid.  No check
+    of ``receive`` could fire on a replay: CleanSeries holds only conditions
+    in [0, 1], every sender is one of the node's own rows, and every message
+    is stamped with the node's own tick.
     """
+    if ticks is not None and ticks < 0:
+        raise ValueError(f"ticks must not be negative, got {ticks}")
     values, _ = aligned_grid(series, spec, cfg.step_minutes)
     total_ticks = values.shape[1] if ticks is None else min(ticks, values.shape[1])
-    delta, span = cfg.delta, cfg.cols
+    delta = cfg.delta
 
     points = eligible_points(spec, cfg)
     rows = [neighbor_rows(spec, point, cfg) for point in points]
     position = {p.id: k for k, p in enumerate(spec.points)}
     # source[k, r]: network position of node k's row r
     source = np.array([[position[p.id] for p in row] for row in rows], dtype=np.intp).reshape(len(points), cfg.rows)
-    bank = np.zeros((len(points), cfg.rows, span))
-    stamps = np.full(bank.shape, -1)
-    slots = _slot_table(span)
-    nodes = []
-    for k, point in enumerate(points):
-        node = Node.__new__(Node)
-        node._bind(point, rows[k], model, cfg, bank[k], stamps[k], slots)
-        nodes.append(node)
-    # (sender, listener, bank cell) of every link: senders in network order,
+    # (sender, listener, node, row) of every link: senders in network order,
     # each sender's listeners in node order
     links = [
         (spec.points[s].id, points[k].id, k, r)
         for s, k, r in sorted((s, k, r) for (k, r), s in np.ndenumerate(source) if r != cfg.n_in)
     ]
     ids = [point.id for point in points]
-    row_index = np.arange(cfg.rows)[:, None]
+    # lost[k, r]: the newest tick at which node k's row r was dropped
+    lost = np.full(source.shape, -delta - 1)
+    offsets = np.arange(-delta, 1)
 
     delivered = 0
     dropped = 0
     records: list[SimRecord] = []
     for tick in range(total_ticks):
-        slot = tick % span
-        sent = values[source, tick]
-        lost = [(k, r) for sender, receiver, k, r in links if drop(sender, receiver, tick)] if drop is not None else []
-        if lost:
-            keep = np.ones(sent.shape, dtype=bool)
-            keep[tuple(zip(*lost))] = False
-            np.copyto(bank[:, :, slot], sent, where=keep)
-            np.copyto(stamps[:, :, slot], tick, where=keep)
-        else:
-            bank[:, :, slot] = sent
-            stamps[:, :, slot] = tick
-        delivered += len(links) - len(lost)
-        dropped += len(lost)
+        cut = [(k, r) for sender, receiver, k, r in links if drop(sender, receiver, tick)] if drop is not None else []
+        if cut:  # lost[()] would write every cell
+            lost[tuple(zip(*cut))] = tick
+        delivered += len(links) - len(cut)
+        dropped += len(cut)
 
-        fresh = _fresh(stamps, tick, delta, axis=(1, 2)) if tick >= delta else np.zeros(len(nodes), dtype=bool)
+        if tick < delta:
+            records.extend(SimRecord(tick, pid, None, SKIP_WARMUP) for pid in ids)
+            continue
+        stale = lost >= tick - delta
+        fresh = ~stale.any(axis=1)
         picked = np.flatnonzero(fresh)
         predictions = iter(
-            model.predict_each(bank[picked[:, None, None], row_index, slots[slot]]).tolist() if picked.size else ()
+            model.predict_each(values[source[picked][:, :, None], tick + offsets]).tolist() if picked.size else ()
         )
-        records.extend(
-            SimRecord(tick, pid, next(predictions), None) if ok else node.window(tick)
-            for node, pid, ok in zip(nodes, ids, fresh.tolist())
-        )
-    for node in nodes:  # as if each node had observed every tick
-        node._clock = total_ticks - 1
+        for k, (pid, ok) in enumerate(zip(ids, fresh.tolist())):
+            if ok:
+                records.append(SimRecord(tick, pid, next(predictions)))
+            else:  # the stale rows' senders, in row order
+                names = ",".join(spec.points[s].id for s in source[k, stale[k]])
+                records.append(SimRecord(tick, pid, None, f"{SKIP_STALE}:{names}"))
 
     return SimLog(
         records=records,

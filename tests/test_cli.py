@@ -287,6 +287,40 @@ def test_simulate_replays_a_split_dataset(tmp_path, profile_path):
     assert (tmp_path / "part.log").read_bytes() == (tmp_path / "full.log").read_bytes()
 
 
+def test_simulate_refuses_a_negative_tick_count(tmp_path, profile_path, capsys):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
+    model = tmp_path / "m.tfmodel"
+    models.save_file(models.CnnPredictor.initialize(0).to_params(), model)
+    capsys.readouterr()
+    log = tmp_path / "sim.log"
+    argv = ["simulate", "--dataset", str(data), "--model", str(model), "--out", str(log)]
+    assert cli.main([*argv, "--ticks", "-5"]) == 1
+    assert capsys.readouterr().err == "error: ticks must not be negative, got -5\n"
+    assert not log.exists() and not (tmp_path / "sim.log.config.json").exists()
+    assert cli.main([*argv, "--ticks", "0"]) == 0
+    assert log.read_text() == "\n"
+    assert json.loads((tmp_path / "sim.log.config.json").read_text())["ticks"] == 0
+
+
+def test_evaluate_names_an_unknown_point(tmp_path, profile_path, capsys):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
+    model = tmp_path / "m.tfmodel"
+    models.save_file(models.CnnPredictor.initialize(0).to_params(), model)
+    capsys.readouterr()
+    argv = ["evaluate", "--model", str(model), "--dataset", str(data), "--point", "nope",
+            "--out-dir", str(tmp_path / "e")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: point 'nope' is not in the dataset\n"
+
+
+def test_ingest_names_a_config_override_that_is_not_an_integer(tmp_path, capsys):
+    argv = ["ingest", "--input", str(tmp_path / "missing.csv"), "--config", "delta=x", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: config override 'delta=x' is not an integer\n"
+
+
 def test_simulate_refuses_a_model_with_a_widened_first_dense_layer(tmp_path, profile_path, capsys):
     # a CNN file whose fc1 reads 322 inputs, 320 conv2 cells plus the day and
     # time scalars, matches no architecture this package builds

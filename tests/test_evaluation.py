@@ -143,8 +143,9 @@ def test_slot_series_empty_for_absent_slot():
 
 def test_slot_series_unknown_point():
     ds, _ = _dataset()
-    with pytest.raises(evaluation.UnknownPointError):
+    with pytest.raises(evaluation.UnknownPointError) as err:
         evaluation.slot_series(np.full(ds.z, 0.5), ds, core.PointId("nope", 0), time(12, 0))
+    assert str(err.value) == "point 'nope' has no snapshots in this dataset"
 
 
 def test_persistence_predictor_repeats_center_condition():

@@ -1,7 +1,6 @@
 """Decentralized node simulation: warm-up, equivalence, faults, locality."""
 
 import dataclasses
-from datetime import timedelta
 from functools import lru_cache
 
 import numpy as np
@@ -73,7 +72,7 @@ def _node_step_replay(series, spec, cfg, model, drop, ticks=None):
                 if drop(pid, node.point.id, tick):
                     dropped += 1
                 else:
-                    node.receive(simulation.ConditionMessage(by_id[pid], tick, START, column[pid]))
+                    node.receive(simulation.ConditionMessage(by_id[pid], tick, column[pid]))
                     delivered += 1
         records.extend(node.step(tick) for node in nodes)
     return records, delivered, dropped
@@ -118,7 +117,7 @@ _FIRST_REPLAY = (4, 4, 4, 12, None, 0.03, 4)  # the benchmark geometry, two days
 @given(replay=_replays())
 @example(replay=_FIRST_REPLAY)
 def test_run_gives_the_records_of_a_per_node_step_replay(kind, replay):
-    # run predicts a whole tick in one pass from one bank of rings; each
+    # run predicts a whole tick in one pass straight from the grid; each
     # record must still be the node's own step: same order, same skips, same
     # prediction bits, and the same message counts
     n_in, m_out, delta, points, ticks, rate, seed = replay
@@ -202,10 +201,12 @@ def test_message_accounting():
     assert log.messages_delivered <= ticks * len(spec.points) * (cfg.n_in + cfg.m_out)
 
 
-def test_dropped_message_silences_dependent_windows_only():
+@pytest.mark.parametrize("k", [0, 12, -1], ids=["warmup", "mid", "last"])
+def test_dropped_message_silences_dependent_windows_only(k):
     spec, cfg, series = _world(noise=0.0)
     model = models.CnnPredictor.initialize(2)
-    k = 12
+    last = len(series[0]) - 1
+    k %= last + 1
     victim = spec.points[6].id
 
     def drop(sender, receiver, tick):
@@ -216,8 +217,10 @@ def test_dropped_message_silences_dependent_windows_only():
     assert faulty_log.messages_dropped > 0
 
     stale = [r for r in faulty_log.records if r.skip_reason and r.skip_reason.startswith(simulation.SKIP_STALE)]
-    # subscribers of the victim skip exactly the ticks whose window spans k
-    expected_ticks = set(range(k, k + cfg.delta + 1))
+    # subscribers of the victim skip exactly the ticks past the warm-up
+    # whose window spans k
+    expected_ticks = set(range(max(k, cfg.delta), min(k + cfg.delta, last) + 1))
+    assert expected_ticks
     assert {r.tick for r in stale} == expected_ticks
     subscribers = {
         p.id
@@ -253,6 +256,13 @@ def test_zero_tick_run_is_empty():
     assert log.records == []
     assert log.messages_delivered == 0
     assert log.predictions() == {}
+
+
+@pytest.mark.parametrize("ticks", [-1, -5])
+def test_run_refuses_a_negative_tick_count(ticks):
+    spec, cfg, series = _world()
+    with pytest.raises(ValueError, match=f"ticks must not be negative, got {ticks}"):
+        simulation.run(series, spec, cfg, models.CnnPredictor.initialize(0), ticks=ticks)
 
 
 def test_replay_is_deterministic():
@@ -297,7 +307,7 @@ def test_node_rejects_messages_from_strangers():
     node = simulation.Node(point, core.neighbor_rows(spec, point, cfg),
                            models.CnnPredictor.initialize(0), cfg)
     stranger = spec.points[-1]
-    message = simulation.ConditionMessage(stranger, 0, START, 0.5)
+    message = simulation.ConditionMessage(stranger, 0, 0.5)
     with pytest.raises(ValueError, match="unexpected sender"):
         node.receive(message)
 
@@ -334,7 +344,6 @@ def test_node_matches_central_under_any_timely_schedule(data):
     node = simulation.Node(point, rows, model, cfg)
     ticks = 3 * cfg.cols
     missed = data.draw(st.none() | st.tuples(st.sampled_from(row_ids), st.integers(0, ticks - 1)))
-    step = timedelta(minutes=cfg.step_minutes)
 
     delivered = set()
     for tick in range(ticks):
@@ -350,7 +359,7 @@ def test_node_matches_central_under_any_timely_schedule(data):
             if pid == point.id:
                 node.observe(t, condition)
             else:
-                node.receive(simulation.ConditionMessage(by_id[pid], t, START + step * t, condition))
+                node.receive(simulation.ConditionMessage(by_id[pid], t, condition))
             delivered.add((pid, t))
 
         record = node.step(tick)
@@ -389,7 +398,7 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
         node.observe(tick, value)
         for p in rows:
             if p.id != point.id:
-                node.receive(simulation.ConditionMessage(p, tick, START, value))
+                node.receive(simulation.ConditionMessage(p, tick, value))
 
     for tick in range(cfg.cols + 1):
         deliver(tick, tick / 10)
@@ -398,10 +407,10 @@ def test_node_slot_keeps_newest_tick_and_last_duplicate():
     np.testing.assert_array_equal(recorder.matrix[0], np.arange(1, last + 1) / 10)
 
     # a late copy of tick 0 shares its slot with tick cols: ignored
-    node.receive(simulation.ConditionMessage(sender, 0, START, 0.25))
+    node.receive(simulation.ConditionMessage(sender, 0, 0.25))
     # a repeat of tick cols - 1 overwrites it: the last copy wins
-    node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.75))
-    node.receive(simulation.ConditionMessage(sender, last - 1, START, 0.125))
+    node.receive(simulation.ConditionMessage(sender, last - 1, 0.75))
+    node.receive(simulation.ConditionMessage(sender, last - 1, 0.125))
     assert node.step(last).prediction == 0.5
     assert recorder.matrix[0].tolist() == [*(t / 10 for t in range(1, last - 1)), 0.125, last / 10]
     assert recorder.matrix[1:].tolist() == [[t / 10 for t in range(1, last + 1)]] * (len(rows) - 1)
@@ -419,7 +428,7 @@ def _send(node, sender, tick, condition):
     if sender == node.point:
         node.observe(tick, condition)
     else:
-        node.receive(simulation.ConditionMessage(sender, tick, START, condition))
+        node.receive(simulation.ConditionMessage(sender, tick, condition))
 
 
 @pytest.mark.parametrize("condition", [float("nan"), float("inf"), -float("inf"), 7.0, -0.25, 1.0 + 1e-12])
