@@ -157,6 +157,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         point = matches[0]
     curve_day = date_type.fromisoformat(args.date) if args.date else None
     report = evaluation.evaluate_models(predictors, dataset, slots=slots, point=point, curve_day=curve_day)
+    if args.date and not any(report.curves.values()):
+        raise ValueError(f"point {report.notes['point']} has no snapshot on {curve_day}")
+    for label, by_model in report.slots.items():
+        if args.slot and not any(by_model.values()):
+            raise ValueError(f"point {report.notes['point']} has no snapshot at {label}")
     written = evaluation.write_report(report, args.out_dir)
     _echo(
         Path(args.out_dir) / "config.json",

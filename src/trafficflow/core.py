@@ -186,7 +186,9 @@ def chain_network(
     m_out: int = 4,
     id_prefix: str = "d",
 ) -> NetworkSpec:
-    """Build a simple chain network of ``n_points`` consecutive detectors."""
+    """Build a simple chain network of ``n_points`` (>= 0) consecutive detectors."""
+    if n_points < 0:
+        raise ValueError(f"a chain network needs a point count >= 0, got {n_points}")
     points = tuple(PointId(f"{id_prefix}{k:03d}", k) for k in range(n_points))
     if isinstance(speed_limit, (int, float)):
         limits = (float(speed_limit),) * n_points

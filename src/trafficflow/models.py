@@ -166,8 +166,8 @@ class _Predictor:
 
     def predict_each(self, matrices: np.ndarray) -> np.ndarray:
         """The ``predict`` of each matrix of a (B, 9, 5) stack, bit for bit,
-        in one pass: every product runs per sample (see ``nn``)."""
-        return self.forward_batch(matrices, per_sample=True)[0]
+        in one pass: no row's bits depend on the batch (see ``nn``)."""
+        return self.forward_batch(matrices)[0]
 
     def predict_snapshot(self, snap: PointSnapshot) -> float:
         return self.predict(snap.matrix)
@@ -206,26 +206,26 @@ class CnnPredictor(_Predictor):
             (1,),
         ]
 
-    def forward_batch(self, matrices: np.ndarray, *, per_sample: bool = False):
+    def forward_batch(self, matrices: np.ndarray):
         """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         x = _stack(matrices)
         batch = x.shape[0]
-        a2, c1, c2 = self._convs(x[..., None], per_sample)
-        out, c3, c4 = self._dense(a2.reshape(batch, -1), per_sample)
+        a2, c1, c2 = self._convs(x[..., None])
+        out, c3, c4 = self._dense(a2.reshape(batch, -1))
         return out, (c1, c2, c3, c4, batch)
 
-    def _convs(self, x: np.ndarray, per_sample: bool = False):
+    def _convs(self, x: np.ndarray):
         """Both convolutions over a (B, H, W, 1) stack: (conv2 map, caches)."""
         p = self.params
-        a1, c1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"], "relu", per_sample=per_sample)
-        a2, c2 = nn.conv2d_forward(a1, p["conv2_w"], p["conv2_b"], "relu", per_sample=per_sample)
+        a1, c1 = nn.conv2d_forward(x, p["conv1_w"], p["conv1_b"], "relu")
+        a2, c2 = nn.conv2d_forward(a1, p["conv2_w"], p["conv2_b"], "relu")
         return a2, c1, c2
 
-    def _dense(self, flat: np.ndarray, per_sample: bool = False):
+    def _dense(self, flat: np.ndarray):
         """fc1 and fc2 over (B, 320) flattened conv2 cells: (preds (B,), caches)."""
         p = self.params
-        h, c3 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"], "relu", per_sample=per_sample)
-        out, c4 = nn.dense_forward(h, p["fc2_w"], p["fc2_b"], "sigmoid", per_sample=per_sample)
+        h, c3 = nn.dense_forward(flat, p["fc1_w"], p["fc1_b"], "relu")
+        out, c4 = nn.dense_forward(h, p["fc2_w"], p["fc2_b"], "sigmoid")
         return out[:, 0], c3, c4
 
     def backward_batch(self, grad_preds: np.ndarray, cache) -> dict[str, np.ndarray]:
@@ -305,13 +305,13 @@ class LstmPredictor(_Predictor):
     # the forget gates' slice of each layer's [i, f, g, o] bias
     unit_biases = dict.fromkeys(("l1_b", "l2_b"), slice(_LSTM_HIDDEN, 2 * _LSTM_HIDDEN))
 
-    def forward_batch(self, matrices: np.ndarray, *, per_sample: bool = False):
+    def forward_batch(self, matrices: np.ndarray):
         """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         p = self.params
         xs = _stack(matrices).transpose(0, 2, 1)  # (B, T=5, 9), oldest column first
-        hs1, c1 = nn.lstm_forward(xs, p["l1_wx"], p["l1_wh"], p["l1_b"], per_sample=per_sample)
-        hs2, c2 = nn.lstm_forward(hs1, p["l2_wx"], p["l2_wh"], p["l2_b"], per_sample=per_sample)
-        out, c3 = nn.dense_forward(hs2[:, -1, :], p["head_w"], p["head_b"], "sigmoid", per_sample=per_sample)
+        hs1, c1 = nn.lstm_forward(xs, p["l1_wx"], p["l1_wh"], p["l1_b"])
+        hs2, c2 = nn.lstm_forward(hs1, p["l2_wx"], p["l2_wh"], p["l2_b"])
+        out, c3 = nn.dense_forward(hs2[:, -1, :], p["head_w"], p["head_b"], "sigmoid")
         return out[:, 0], (c1, c2, c3, hs2.shape)
 
     def backward_batch(self, grad_preds: np.ndarray, cache) -> dict[str, np.ndarray]:

@@ -6,11 +6,11 @@ Training, dataset prediction and a node's single-snapshot prediction all
 run these kernels, so at batch 1 their cost is mostly numpy's per-call
 overhead, and each kernel keeps its call count low.  Each layer's weights
 meet the whole batch in one 2-D matrix product (the LSTM's recurrent
-product is one per timestep after the first).  With ``per_sample=True`` a
-forward kernel instead runs each product as a stacked matmul, one BLAS call
-per sample with that sample's own shape, so every sample's output has the
-bits it has in a batch of one; a flat GEMM's blocking, and so its rounding
-of a row, depends on the batch size.  Convolution patches are
+product is one per timestep after the first).  A GEMM's blocking, and so
+its rounding of a row, can depend on how many rows the product has, so
+every forward product goes through ``_matmul``, whose row bits depend only
+on the row: a sample's output has the same bits in a batch of one, in a
+training batch and in any dataset chunk.  Convolution patches are
 gathered through a window view, an ndarray built over the contiguous
 input's buffer with its H and W strides repeated, in the weights' own
 (k, k, C) order, so the weight matrix is a view of the (k, k, C, F)
@@ -112,6 +112,23 @@ def _activate_backward(grad_out: np.ndarray, kind: str, z: np.ndarray, out: np.n
     raise ValueError(f"unknown activation {kind!r}")
 
 
+# Below this many rows the BLAS can round a product's row by the row count:
+# conv2's 576x64 product does up to 27 rows.  test_nn pins the floor.
+_MIN_ROWS = 32
+
+
+def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a (M, K) @ w (K, N)``, each output row's bits a function of its
+    input row alone.  The BLAS rounds a one-column product by its row count
+    at most counts, so that is a multiply and a row sum; any other product
+    runs zero-padded to at least ``_MIN_ROWS`` rows."""
+    if w.shape[1] == 1:
+        return (a * w[:, 0]).sum(axis=1, keepdims=True)
+    if len(a) < _MIN_ROWS:
+        return (np.concatenate([a, np.zeros((_MIN_ROWS - len(a), a.shape[1]))]) @ w)[: len(a)]
+    return a @ w
+
+
 def _batch(x: np.ndarray, ndim: int, layout: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != ndim:
@@ -139,14 +156,11 @@ def conv2d_forward(
     weights: np.ndarray,
     biases: np.ndarray,
     activation: str = "relu",
-    *,
-    per_sample: bool = False,
 ) -> tuple[np.ndarray, ConvCache]:
     """Valid cross-correlation, stride 1, plus per-filter bias and activation.
 
     ``x`` is (B, H, W, C); ``weights`` is (k, k, C, F).  Returns the
-    activated (B, H-k+1, W-k+1, F) map and the backward cache.  With
-    ``per_sample`` each sample's map is its batch-of-one map, bit for bit.
+    activated (B, H-k+1, W-k+1, F) map and the backward cache.
     """
     x = _batch(x, 4, "(B, H, W, C)")
     weights = np.asarray(weights, dtype=np.float64)
@@ -174,11 +188,10 @@ def conv2d_forward(
     s_b, s_h, s_w, s_c = x.strides
     view = np.ndarray((b, out_h, out_w, k, k, c_in), np.float64, x, 0, (s_b, s_h, s_w, s_h, s_w, s_c))
     # one row per output position of every sample: a 2-D operand makes the
-    # layer one GEMM, where a 4-D one makes matmul loop over B*H' products;
-    # per sample, a 3-D operand makes it B GEMMs of a batch of one's shape
+    # layer one GEMM, where a 4-D one makes matmul loop over B*H' products
     cols = view.reshape(b * out_h * out_w, k * k * c_in)
     w_mat = weights.reshape(k * k * c_in, f)
-    z = cols.reshape(b, out_h * out_w, -1) @ w_mat if per_sample else cols @ w_mat
+    z = _matmul(cols, w_mat)
     z += biases
     z = z.reshape(b, out_h, out_w, f)
     out = _activate(z, activation)
@@ -245,13 +258,8 @@ def dense_forward(
     weights: np.ndarray,
     biases: np.ndarray,
     activation: str = "relu",
-    *,
-    per_sample: bool = False,
 ) -> tuple[np.ndarray, DenseCache]:
-    """Affine map plus activation: x (B, D) @ weights (D, K) + biases (K,).
-
-    With ``per_sample`` each output row is its batch-of-one row, bit for bit.
-    """
+    """Affine map plus activation: x (B, D) @ weights (D, K) + biases (K,)."""
     x = _batch(x, 2, "(B, D)")
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
@@ -261,7 +269,7 @@ def dense_forward(
         )
     if biases.shape != (weights.shape[1],):
         raise ShapeMismatchError(f"biases must be ({weights.shape[1]},), got {biases.shape}")
-    z = (x[:, None] @ weights)[:, 0] if per_sample else x @ weights
+    z = _matmul(x, weights)
     z += biases
     out = _activate(z, activation)
     return out, DenseCache(x, weights, z, out, activation)
@@ -356,25 +364,17 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _per_sample_dot(rows: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """``rows @ weights`` into ``out``, one (1, K) @ (K, N) product per row."""
-    np.matmul(rows[:, None], weights, out=out[:, None])
-
-
 def lstm_forward(
     xs: np.ndarray,
     w_x: np.ndarray,
     w_h: np.ndarray,
     b: np.ndarray,
-    *,
-    per_sample: bool = False,
 ) -> tuple[np.ndarray, LstmCache]:
     """Run a full sequence (B, T, D) from zero initial state.
 
     i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
     all hidden states (B, T, H), a view of the cache's ``h``, plus the BPTT
-    cache.  With ``per_sample`` each sample's states are its batch-of-one
-    states, bit for bit.
+    cache.
     """
     xs = _batch(xs, 3, "(B, T, D)")
     w_x = np.asarray(w_x, dtype=np.float64)
@@ -387,14 +387,9 @@ def lstm_forward(
 
     # i/f/o columns halved (see the packing note above).  The input
     # projection does not depend on the recurrence: one GEMM for every
-    # timestep, leaving only h @ w_h inside the loop.
+    # timestep, in time-major rows so that each step's slice is contiguous.
     scale, offset = _gate_affine(hidden)
-    if per_sample:
-        zx = xs @ (w_x * scale) + b * scale[0]
-        recur = _per_sample_dot
-    else:
-        zx = (xs.reshape(batch * steps, dim) @ (w_x * scale) + b * scale[0]).reshape(batch, steps, 4 * hidden)
-        recur = np.dot  # the GEMM that @ runs, for less per-call overhead
+    zx = _matmul(xs.transpose(1, 0, 2).reshape(steps * batch, dim), w_x * scale) + b * scale[0]
     w_h_half = w_h * scale
     gates = np.empty((steps, batch, 4 * hidden))
     c = np.zeros((steps + 1, batch, hidden))
@@ -405,14 +400,11 @@ def lstm_forward(
     # output, which numpy runs without setting up a broadcast.
     i, f, g, o = _gate_views(gates, hidden)
     for t, (z, zx_t, i_t, f_t, g_t, o_t, c_prev, c_t, tanh_c_t, h_prev, h_t) in enumerate(
-        zip(gates, zx.transpose(1, 0, 2), i, f, g, o, c, c[1:], tanh_c, h, h[1:])
+        zip(gates, zx.reshape(steps, batch, 4 * hidden), i, f, g, o, c, c[1:], tanh_c, h, h[1:])
     ):
-        if t:
-            recur(h_prev, w_h_half, out=z)
-            z += zx_t
-            np.tanh(z, out=z)
-        else:  # h_0 = 0: the pre-activations are the input projection alone
-            np.tanh(zx_t, out=z)
+        if t:  # h_0 = 0: step 0's pre-activations are the input projection alone
+            zx_t += _matmul(h_prev, w_h_half)
+        np.tanh(zx_t, out=z)
         z *= scale
         z += offset
         np.multiply(f_t, c_prev, out=c_t)

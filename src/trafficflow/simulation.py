@@ -12,9 +12,9 @@ equal to the centralized windowed pipeline.
 delivered cell holds the grid's value, so each node's window is the grid's
 block of the node's rows whenever none of its cells was dropped; ``run``
 keeps just the newest tick at which each link was dropped.  The model then
-runs once per tick over the stack of that tick's fresh windows.  Every
-product of that pass runs per sample (``predict_each``), so each node's
-prediction is, bit for bit, the one its own ``predict`` would give.
+runs once per tick over the stack of that tick's fresh windows
+(``predict_each``).  No row's bits depend on the batch (see ``nn``), so a
+node predicts, bit for bit, what ``predict`` and ``predict_dataset`` give.
 ``Node`` is the checked boundary for messages from outside a replay and
 the reference that ``run``'s records must equal.
 

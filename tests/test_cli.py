@@ -254,6 +254,7 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "network": {"points": 12, "speed_limit": "60"}}, SYNTH, "network.speed_limit must be a number"),
     ({**TINY_PROFILE, "network": {"points": ["x"]}}, SYNTH, "network.points[0] must be a JSON object"),
     ({**TINY_PROFILE, "network": {"points": 0}}, SYNTH, "the network has no points"),
+    ({**TINY_PROFILE, "network": {"points": -10**30}}, SYNTH, f"point count >= 0, got {-10**30}"),
     ({**TINY_PROFILE, "network": {"points": []}}, SYNTH, "the network has no points"),
     ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": "0", "speed_limit": 60}]}}, SYNTH,
      "PointId.order_index must be of type int"),
@@ -313,6 +314,25 @@ def test_evaluate_names_an_unknown_point(tmp_path, profile_path, capsys):
             "--out-dir", str(tmp_path / "e")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: point 'nope' is not in the dataset\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--date", "1999-01-01", "point d006 has no snapshot on 1999-01-01"),
+    ("--slot", "03:17", "point d006 has no snapshot at 03:17"),
+])
+def test_evaluate_refuses_a_day_or_slot_that_selects_no_snapshot(tmp_path, profile_path, capsys, flag, value, message):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
+    model = tmp_path / "m.tfmodel"
+    models.save_file(models.CnnPredictor.initialize(0).to_params(), model)
+    capsys.readouterr()
+    out_dir = tmp_path / "e"
+    argv = ["evaluate", "--model", str(model), "--dataset", str(data), "--out-dir", str(out_dir)]
+    assert cli.main([*argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+    # the same flag with a value the point's snapshots do meet
+    assert cli.main([*argv, flag, {"--date": "2024-01-02", "--slot": "03:30"}[flag]]) == 0
 
 
 def test_ingest_names_a_config_override_that_is_not_an_integer(tmp_path, capsys):

@@ -16,6 +16,13 @@ def test_chain_network_is_ordered():
     assert spec.speed_limits == (60.0,) * 5
 
 
+@pytest.mark.parametrize("count", [-1, -10**30])
+def test_chain_network_rejects_a_negative_point_count(count):
+    # a count past the index range once escaped as an OverflowError
+    with pytest.raises(ValueError, match=f"got {count}"):
+        core.chain_network(count, 60.0)
+
+
 def test_network_spec_rejects_unsorted_points():
     points = (core.PointId("a", 1), core.PointId("b", 0))
     with pytest.raises(ValueError, match="increasing order_index"):

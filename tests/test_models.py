@@ -181,8 +181,7 @@ def test_predict_dataset_matches_single_predictions():
     for model in (models.CnnPredictor.initialize(1), models.LstmPredictor.initialize(1)):
         batch = model.predict_dataset(ds)
         single = np.array([model.predict_snapshot(s) for s in ds.snapshots])
-        # batched GEMM may differ from the single-sample path by one ulp
-        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch, single)
 
 
 def test_predict_dataset_is_independent_of_chunk_size():
@@ -201,9 +200,9 @@ def test_predict_dataset_is_independent_of_chunk_size():
     ):
         default = model.predict_dataset(ds)
         for size in (1, 7, chunk, ds.z):
-            np.testing.assert_allclose(model.predict_dataset(ds, chunk=size), default, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(model.predict_dataset(ds, chunk=size), default)
         single = np.array([model.predict_snapshot(ds.snapshots[int(i)]) for i in sample])
-        np.testing.assert_allclose(default[sample], single, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(default[sample], single)
 
 
 @pytest.mark.parametrize("kind,calls", [
@@ -213,23 +212,23 @@ def test_predict_dataset_is_independent_of_chunk_size():
 def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
     # a node's predict goes through the kernels that training and
     # predict_dataset run, each with a batch of one: a predict-only forward
-    # would fork the arithmetic that the 1e-12 bounds tie together.
-    # predict_each runs each kernel once for the whole stack, per sample.
+    # would fork the arithmetic that the exact comparisons tie together.
+    # predict_each runs each kernel once for the whole stack.
     batches = {name: [] for name in calls}
     for name in calls:
         def counting(x, *args, _original=getattr(nn, name), _batches=batches[name], **kwargs):
-            _batches.append((np.shape(x)[0], kwargs.get("per_sample", False)))
+            _batches.append(np.shape(x)[0])
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(nn, name, counting)
     model = models.KINDS[kind].initialize(4)
     model.predict(_random_snapshots(1, seed=9)[0])
-    assert batches == {name: [(1, True)] * count for name, count in calls.items()}
+    assert batches == {name: [1] * count for name, count in calls.items()}
     for n in (1, 2, 37):
         for calls_of_kernel in batches.values():
             calls_of_kernel.clear()
         model.predict_each(_random_snapshots(n, seed=n))
-        assert batches == {name: [(n, True)] * count for name, count in calls.items()}
+        assert batches == {name: [n] * count for name, count in calls.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,7 +288,7 @@ def _cnn_datasets(draw):
 @given(dataset=_cnn_datasets(), chunk=st.sampled_from([1, 7, models.PREDICT_CHUNK, None]))
 def test_cnn_predict_dataset_matches_the_per_snapshot_path(dataset, chunk):
     preds = _CNN.predict_dataset(dataset, chunk=chunk or dataset.z)
-    np.testing.assert_allclose(preds, _row_path(_CNN, dataset), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(preds, _row_path(_CNN, dataset))
     _assert_fresh(preds, _CNN, dataset)
 
 
@@ -305,7 +304,7 @@ def test_batch_one_predict_matches_predict_dataset(dataset, kind, seed):
     model = models.KINDS[kind]({name: a + rng.normal(scale=0.3, size=a.shape) for name, a in base.items()})
     rows = rng.choice(dataset.z, size=min(dataset.z, 40), replace=False)
     single = [model.predict(m) for m in dataset.matrices(rows)]
-    np.testing.assert_allclose(single, model.predict_dataset(dataset)[rows], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(single, model.predict_dataset(dataset)[rows])
 
 
 def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
@@ -326,7 +325,7 @@ def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
     # a full dataset: every block's tile has fewer than 5 conv2 cells per snapshot
     preds = model.predict_dataset(ds)
     assert sizes == []
-    np.testing.assert_allclose(preds, _row_path(model, ds), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(preds, _row_path(model, ds))
 
     # one snapshot per column, on the first and the last centre row in turn:
     # every tile spans all six centre rows, twice the conv2 cells the row path needs
@@ -337,7 +336,7 @@ def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
     preds = model.predict_dataset(scattered, chunk=32)
     assert sum(sizes) == scattered.z and max(sizes) <= 32
     model.forward_batch = original
-    np.testing.assert_allclose(preds, _row_path(model, scattered), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(preds, _row_path(model, scattered))
     _assert_fresh(preds, model, scattered)
 
 
@@ -357,7 +356,7 @@ def test_predict_dataset_of_empty_and_tiny_datasets(kind, rows):
     preds = model.predict_dataset(ds)
     assert preds.shape == (ds.z,) == (len(rows) if isinstance(rows, list) else 7,)
     single = [model.predict_snapshot(s) for s in ds.snapshots]
-    np.testing.assert_allclose(preds, single, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(preds, single)
 
 
 @pytest.mark.parametrize("n_in,delta", [(5, 4), (4, 5)])

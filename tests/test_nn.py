@@ -489,3 +489,27 @@ def test_forward_determinism():
     a, _ = nn.conv2d_forward(x, w, b)
     b2, _ = nn.conv2d_forward(x, w, b)
     np.testing.assert_array_equal(a, b2)
+
+
+# (K, N) of every forward product the models run: conv1, conv2, fc1, fc2,
+# the LSTM's first-layer input product, its recurrent and second-layer
+# products, and its head
+_MODEL_PRODUCTS = [(9, 64), (576, 64), (320, 32), (32, 1), (9, 80), (20, 80), (20, 1)]
+
+
+@pytest.mark.parametrize("k,n", _MODEL_PRODUCTS, ids=[f"{k}x{n}" for k, n in _MODEL_PRODUCTS])
+def test_forward_product_rows_do_not_depend_on_the_row_count(k, n):
+    # a node's batch-of-one prediction equals the same snapshot's prediction
+    # in a training batch or a dataset chunk only while this holds.  It rests
+    # on the BLAS build and the CPU kernel it picks (numpy's row sum for the
+    # one-column shapes): a BLAS that rounds a row by the product's row
+    # count fails here, by shape
+    rng = np.random.default_rng(k * 1000 + n)
+    a = rng.normal(size=(4000, k))
+    w = rng.normal(size=(k, n))
+    full = nn._matmul(a, w)
+    differ = [
+        m for m in range(1, 301)
+        if not np.array_equal(nn._matmul(a[m : 2 * m], w).view(np.int64), full[m : 2 * m].view(np.int64))
+    ]
+    assert not differ, f"{k}x{n} product: rows differ from the 4000-row product at M = {differ[:20]}"

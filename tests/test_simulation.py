@@ -50,10 +50,12 @@ def test_node_predictions_bit_identical_to_centralized_pipeline(kind):
     log = simulation.run(series, spec, cfg, model)
     sims = log.predictions()
     assert sims, "simulation produced no predictions"
-    for snap in dataset.snapshots:
+    central = model.predict_dataset(dataset)
+    for row, snap in enumerate(dataset.snapshots):
         key = (_tick_of(snap, cfg), snap.point.id)
         assert key in sims
         assert sims[key] == model.predict_snapshot(snap)
+        assert sims[key] == central[row]
 
 
 def _node_step_replay(series, spec, cfg, model, drop, ticks=None):
