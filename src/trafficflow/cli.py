@@ -43,10 +43,16 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
     return overrides
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``, {} without one; ValueError names the first
+    key that is not one of ``keys``."""
     if not path:
         return {}
-    return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}")
+    doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"config file {path} has no field {unknown[0]!r}")
+    return doc
 
 
 # train settings a flag or the config file may give; a config file may give no other key
@@ -58,7 +64,7 @@ _SPLITS = {"point": training.by_point, "time": training.by_time}
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config_file)
+    file_cfg = _load_config_file(args.config_file, ("snapshot",))
     overrides = {**json_object(file_cfg.get("snapshot", {}), "snapshot"), **_parse_overrides(args.config)}
     cfg = from_json(SnapshotConfig, overrides, "snapshot")
     spec, raw_series = ingestion.read_detector_file(args.input, n_in=cfg.n_in, m_out=cfg.m_out)
@@ -106,11 +112,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     # flags override the config file; what neither gives keeps the defaults
     # of TrainConfig and of the split's constructor
-    file_cfg = _load_config_file(args.config_file)
-    unknown = sorted(set(file_cfg) - set(_TRAIN_KEYS))
-    if unknown:
-        raise ValueError(f"config file {args.config_file} has no field {unknown[0]!r}")
-    given = dict(file_cfg)
+    given = _load_config_file(args.config_file, _TRAIN_KEYS)
     given.update({key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None})
     axis = given.pop("split_axis", "point")
     if axis not in _SPLITS:

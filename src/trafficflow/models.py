@@ -164,11 +164,6 @@ class _Predictor:
     def param_count(self) -> int:
         return int(sum(a.size for a in self.params.values()))
 
-    def predict_each(self, matrices: np.ndarray) -> np.ndarray:
-        """The ``predict`` of each matrix of a (B, 9, 5) stack, bit for bit,
-        in one pass: no row's bits depend on the batch (see ``nn``)."""
-        return self.forward_batch(matrices)[0]
-
     def predict_snapshot(self, snap: PointSnapshot) -> float:
         return self.predict(snap.matrix)
 
@@ -249,7 +244,7 @@ class CnnPredictor(_Predictor):
 
     def predict(self, matrix: np.ndarray) -> float:
         """Single-snapshot prediction (a node's, one at a time)."""
-        return float(self.predict_each(np.asarray(matrix)[None])[0])
+        return float(self.forward_batch(np.asarray(matrix)[None])[0][0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
         """Predictions for every snapshot, in dataset order.
@@ -333,7 +328,7 @@ class LstmPredictor(_Predictor):
         }
 
     def predict(self, matrix: np.ndarray) -> float:
-        return float(self.predict_each(np.asarray(matrix)[None])[0])
+        return float(self.forward_batch(np.asarray(matrix)[None])[0][0])
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
         """Predictions for every snapshot, in dataset order, ``chunk`` snapshots

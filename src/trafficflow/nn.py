@@ -68,10 +68,12 @@ class ZeroLossError(ArithmeticError):
 
 
 class NonFiniteGradientError(ArithmeticError):
-    """A gradient contains NaN or infinity; carries the offending parameter name."""
+    """A gradient contains NaN or infinity; carries the offending parameter
+    name, and the message says where in training it arose when ``where`` is
+    given."""
 
-    def __init__(self, name: str):
-        super().__init__(f"non-finite gradient for parameter {name!r}")
+    def __init__(self, name: str, where: str = ""):
+        super().__init__(f"non-finite gradient for parameter {name!r}" + (f" at {where}" if where else ""))
         self.name = name
 
 

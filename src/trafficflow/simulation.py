@@ -10,11 +10,10 @@ equal to the centralized windowed pipeline.
 
 ``run`` builds no nodes.  Its only fault is a dropped message, and a
 delivered cell holds the grid's value, so each node's window is the grid's
-block of the node's rows whenever none of its cells was dropped; ``run``
-keeps just the newest tick at which each link was dropped.  The model then
-runs once per tick over the stack of that tick's fresh windows
-(``predict_each``).  No row's bits depend on the batch (see ``nn``), so a
-node predicts, bit for bit, what ``predict`` and ``predict_dataset`` give.
+block of the node's rows whenever none of its cells was dropped.  ``run``
+notes the newest tick at which each link was dropped, decides every record,
+then predicts all fresh windows in one ``predict_dataset`` call, whose bits
+do not depend on the batch (see ``nn``): each equals the node's ``predict``.
 ``Node`` is the checked boundary for messages from outside a replay and
 the reference that ``run``'s records must equal.
 
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import NetworkSpec, PointId, SnapshotConfig, eligible_points, neighbor_rows
-from .ingestion import CleanSeries, aligned_grid
+from .ingestion import CleanSeries, Dataset, Windows, aligned_grid
 
 __all__ = [
     "ConditionMessage",
@@ -198,19 +197,18 @@ def run(
     per link and tick: senders in network order, each sender's listeners in
     node order.  The replay is deterministic; message accounting counts
     per-subscriber deliveries.  Each tick's records equal every node's
-    ``step``, in node order, with one ``model.predict_each`` over the tick's
-    fresh windows.  ``ticks`` (default: the whole series) must not be
-    negative; ValueError otherwise.
+    ``step``, in node order; one ``model.predict_dataset`` after the tick
+    loop predicts the fresh windows of every tick.  ``ticks`` (default: the
+    whole series) must not be negative; ValueError otherwise.
 
     A row is stale while the newest tick at which its link was dropped lies
-    in the window; fresh windows are read straight from the grid.  No check
-    of ``receive`` could fire on a replay: CleanSeries holds only conditions
-    in [0, 1], every sender is one of the node's own rows, and every message
-    is stamped with the node's own tick.
+    in the window.  No check of ``receive`` could fire on a replay:
+    CleanSeries holds only conditions in [0, 1], every sender is one of the
+    node's own rows, and every message is stamped with the node's own tick.
     """
     if ticks is not None and ticks < 0:
         raise ValueError(f"ticks must not be negative, got {ticks}")
-    values, _ = aligned_grid(series, spec, cfg.step_minutes)
+    values, start = aligned_grid(series, spec, cfg.step_minutes)
     total_ticks = values.shape[1] if ticks is None else min(ticks, values.shape[1])
     delta = cfg.delta
 
@@ -228,11 +226,12 @@ def run(
     ids = [point.id for point in points]
     # lost[k, r]: the newest tick at which node k's row r was dropped
     lost = np.full(source.shape, -delta - 1)
-    offsets = np.arange(-delta, 1)
+    # fresh[t, k]: node k's window at tick t is complete, its record predicted below
+    fresh = np.zeros((total_ticks, len(points)), dtype=bool)
 
     delivered = 0
     dropped = 0
-    records: list[SimRecord] = []
+    records: list[SimRecord | None] = []
     for tick in range(total_ticks):
         cut = [(k, r) for sender, receiver, k, r in links if drop(sender, receiver, tick)] if drop is not None else []
         if cut:  # lost[()] would write every cell
@@ -244,17 +243,23 @@ def run(
             records.extend(SimRecord(tick, pid, None, SKIP_WARMUP) for pid in ids)
             continue
         stale = lost >= tick - delta
-        fresh = ~stale.any(axis=1)
-        picked = np.flatnonzero(fresh)
-        predictions = iter(
-            model.predict_each(values[source[picked][:, :, None], tick + offsets]).tolist() if picked.size else ()
-        )
-        for k, (pid, ok) in enumerate(zip(ids, fresh.tolist())):
+        fresh[tick] = ~stale.any(axis=1)
+        for k, (pid, ok) in enumerate(zip(ids, fresh[tick].tolist())):
             if ok:
-                records.append(SimRecord(tick, pid, next(predictions)))
+                records.append(None)
             else:  # the stale rows' senders, in row order
                 names = ",".join(spec.points[s].id for s in source[k, stale[k]])
                 records.append(SimRecord(tick, pid, None, f"{SKIP_STALE}:{names}"))
+
+    column, node = np.nonzero(fresh)
+    if column.size:
+        # the pad stands in for the target columns Dataset wants; nothing reads it
+        grid = np.pad(values[:, :total_ticks], ((0, 0), (0, cfg.horizon_steps)))
+        windows = Dataset(Windows(grid, start, node + cfg.n_in, column), cfg, spec)
+        # one tick's windows per pass: the default chunk's LSTM caches raise peak memory
+        predictions = model.predict_dataset(windows, chunk=len(points))
+        for tick, k, prediction in zip(column.tolist(), node.tolist(), predictions.tolist()):
+            records[tick * len(points) + k] = SimRecord(tick, ids[k], prediction)
 
     return SimLog(
         records=records,

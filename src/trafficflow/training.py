@@ -8,6 +8,7 @@ named streams; a fixed seed reproduces losses and parameters bit-exactly.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -90,8 +91,8 @@ class TrainConfig:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.loss != "strict":
             raise ValueError(f"unknown loss kind {self.loss!r}; only 'strict' is defined")
         if not isinstance(self.checkpoint_dir, (str, Path, type(None))):
@@ -221,7 +222,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
                     model.params = nn.sgd_step(model.params, grads, cfg.lr)
                 except nn.NonFiniteGradientError as err:
                     raise nn.NonFiniteGradientError(
-                        f"{err.name} at epoch {epoch}, batch {lo // cfg.batch_size}"
+                        err.name, f"epoch {epoch}, batch {lo // cfg.batch_size}"
                     ) from err
         epoch_losses.append(float(np.mean(batch_losses)))
         if cfg.checkpoint_dir:

@@ -271,6 +271,25 @@ def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, a
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+def test_ingest_config_file_refuses_an_unknown_top_level_key(tmp_path, capsys):
+    # a misspelt section would otherwise be ignored, its settings with it
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({"snapshot": {"step_minutes": 30}, "snapshots": {"delta": 2}}))
+    argv = ["ingest", "--input", str(tmp_path / "missing"), "--config-file", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: config file {path} has no field 'snapshots'\n"
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-0.5"])
+def test_train_refuses_a_non_finite_or_negative_lr(tmp_path, capsys, lr):
+    # a NaN rate would make no update and write NaN, which is not JSON, into
+    # the report and the config echo
+    argv = ["train", "--dataset", str(tmp_path / "missing"), f"--lr={lr}", "--out", str(tmp_path / "m.tfmodel")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: lr must be a finite number >= 0, got {float(lr)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_replays_a_split_dataset(tmp_path, profile_path):
     # every dataset keeps the whole condition grid, so a split replays the
     # same series as the dataset it came from

@@ -213,7 +213,7 @@ def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
     # a node's predict goes through the kernels that training and
     # predict_dataset run, each with a batch of one: a predict-only forward
     # would fork the arithmetic that the exact comparisons tie together.
-    # predict_each runs each kernel once for the whole stack.
+    # forward_batch runs each kernel once for the whole stack.
     batches = {name: [] for name in calls}
     for name in calls:
         def counting(x, *args, _original=getattr(nn, name), _batches=batches[name], **kwargs):
@@ -227,7 +227,7 @@ def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
     for n in (1, 2, 37):
         for calls_of_kernel in batches.values():
             calls_of_kernel.clear()
-        model.predict_each(_random_snapshots(n, seed=n))
+        model.forward_batch(_random_snapshots(n, seed=n))
         assert batches == {name: [n] * count for name, count in calls.items()}
 
 
@@ -238,14 +238,14 @@ def test_batch_one_predict_runs_the_shared_kernels(monkeypatch, kind, calls):
     params_seed=st.integers(0, 2**16),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_predict_each_gives_every_matrix_its_own_predict_bit_for_bit(kind, batch, params_seed, data_seed):
-    # the simulator's one pass per tick must give each node exactly its
+def test_forward_batch_gives_every_matrix_its_own_predict_bit_for_bit(kind, batch, params_seed, data_seed):
+    # the simulator's batched passes must give each node exactly its
     # batch-of-one prediction; a flat GEMM over the stack rounds rows
     # differently at some batch sizes
     model = models.KINDS[kind].initialize(params_seed)
     stack = _random_snapshots(batch, seed=data_seed)
     single = np.array([model.predict(m) for m in stack])
-    each = model.predict_each(stack)
+    each = model.forward_batch(stack)[0]
     assert each.shape == (batch,)
     assert each.view(np.int64).tolist() == single.view(np.int64).tolist()
 

@@ -97,34 +97,36 @@ class _Padded:
     def predict(self, window):
         return self.model.predict(self._pad(window))
 
-    def predict_each(self, windows):
-        return self.model.predict_each(self._pad(windows))
+    def predict_dataset(self, dataset, chunk):
+        return self.model.forward_batch(self._pad(dataset.matrices()))[0]
 
 
 @st.composite
 def _replays(draw):
-    """(n_in, m_out, delta, points, ticks, drop rate, drop seed) of a replay:
-    networks from no eligible node up, ticks from none to the whole series."""
+    """(n_in, m_out, delta, horizon, points, ticks, drop rate, drop seed) of a
+    replay: networks from no eligible node up, ticks from none to the whole
+    series."""
     n_in, m_out = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    delta = draw(st.integers(1, 3))
+    delta, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     points = n_in + m_out + draw(st.integers(0 if n_in + m_out else 1, 3))
     ticks = draw(st.none() | st.integers(0, delta - 1))
-    return n_in, m_out, delta, points, ticks, draw(st.floats(0, 0.1)), draw(st.integers(0, 2**16))
+    return n_in, m_out, delta, horizon, points, ticks, draw(st.floats(0, 0.1)), draw(st.integers(0, 2**16))
 
 
-_FIRST_REPLAY = (4, 4, 4, 12, None, 0.03, 4)  # the benchmark geometry, two days
+_FIRST_REPLAY = (4, 4, 4, 1, 12, None, 0.03, 4)  # the benchmark geometry, two days
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
 @given(replay=_replays())
 @example(replay=_FIRST_REPLAY)
 def test_run_gives_the_records_of_a_per_node_step_replay(kind, replay):
-    # run predicts a whole tick in one pass straight from the grid; each
-    # record must still be the node's own step: same order, same skips, same
-    # prediction bits, and the same message counts
-    n_in, m_out, delta, points, ticks, rate, seed = replay
+    # run decides every record first and predicts all fresh windows in one
+    # predict_dataset call; each record must still be the node's own step:
+    # same order, same skips, same prediction bits, and the same message
+    # counts, up to the last tick, whose target lies beyond the series
+    n_in, m_out, delta, horizon, points, ticks, rate, seed = replay
     spec, cfg, series = _world(points, days=2 if replay == _FIRST_REPLAY else 1)
-    cfg = dataclasses.replace(cfg, delta=delta, n_in=n_in, m_out=m_out)
+    cfg = dataclasses.replace(cfg, delta=delta, n_in=n_in, m_out=m_out, horizon_steps=horizon)
     model = _Padded(models.KINDS[kind].initialize(8))
     rng = np.random.default_rng(seed)
     dropped = {
@@ -150,6 +152,26 @@ def test_run_gives_the_records_of_a_per_node_step_replay(kind, replay):
     got = np.array([np.nan if r.prediction is None else r.prediction for r in log.records])
     want = np.array([np.nan if r.prediction is None else r.prediction for r in reference])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_run_predicts_all_fresh_windows_in_one_predict_dataset_call():
+    # one tick's windows per pass; a replay with no fresh window calls no model
+    spec, cfg, series = _world()
+    calls = []
+
+    class Counting(_Padded):
+        def predict(self, window):
+            raise AssertionError("run predicted a single window")
+
+        def predict_dataset(self, dataset, chunk):
+            calls.append((dataset.z, chunk))
+            return super().predict_dataset(dataset, chunk)
+
+    model = Counting(models.CnnPredictor.initialize(0))
+    log = simulation.run(series, spec, cfg, model, ticks=cfg.delta + 3)
+    assert calls == [(len(log.predictions()), len(core.eligible_points(spec, cfg)))]
+    simulation.run(series, spec, cfg, model, ticks=cfg.delta)
+    assert len(calls) == 1
 
 
 def test_drop_is_asked_once_per_link_and_tick_in_network_then_node_order():

@@ -195,8 +195,16 @@ def test_non_finite_gradient_reports_epoch_and_batch(tmp_path, monkeypatch):
 
     original = models.CnnPredictor.backward_batch
     monkeypatch.setattr(models.CnnPredictor, "backward_batch", poisoned)
-    with pytest.raises(nn.NonFiniteGradientError, match=r"fc2_b at epoch 0, batch 0"):
+    with pytest.raises(nn.NonFiniteGradientError) as err:
         training.train(ds, cfg)
+    assert err.value.name == "fc2_b"
+    assert str(err.value) == "non-finite gradient for parameter 'fc2_b' at epoch 0, batch 0"
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_train_config_refuses_a_non_finite_or_negative_lr(lr):
+    with pytest.raises(ValueError, match=f"lr must be a finite number >= 0, got {lr}"):
+        training.TrainConfig(lr=lr)
 
 
 def test_train_config_validation():
