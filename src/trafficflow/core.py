@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "SnapshotConfig",
     "PointSnapshot",
     "check_condition",
+    "check_type",
     "check_field_types",
     "json_object",
     "from_json",
@@ -51,19 +51,25 @@ def check_condition(value: float) -> float:
 _FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating), "str": (str,)}
 
 
+def check_type(value, kind: str, name: str):
+    """``value`` if it is of type ``kind`` ("int", "float" or "str"), a numpy
+    scalar as a Python one; a bool is none of them.  Raises ValueError naming
+    ``name`` if not."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise ValueError(f"{name} must be of type {kind}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_field_types(obj) -> None:
-    """Raise ValueError naming the first dataclass field annotated "int",
-    "float" or "str" (string annotations) that holds another type; a bool is
-    none of them.  Numpy scalars are stored as Python ones."""
+    """``check_type`` on each dataclass field annotated "int", "float" or
+    "str" (string annotations), naming the first that fails; numpy scalars
+    are stored as Python ones."""
     for f in fields(obj):
-        accepted = _FIELD_TYPES.get(f.type)
-        if accepted is None:
-            continue
-        value = getattr(obj, f.name)
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, accepted):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be of type {f.type}, got {value!r}")
-        if isinstance(value, np.generic):
-            object.__setattr__(obj, f.name, value.item())
+        if f.type in _FIELD_TYPES:
+            value = getattr(obj, f.name)
+            checked = check_type(value, f.type, f"{type(obj).__name__}.{f.name}")
+            if checked is not value:
+                object.__setattr__(obj, f.name, checked)
 
 
 def json_object(doc, name: str) -> dict:
@@ -179,22 +185,13 @@ class NetworkSpec:
         raise KeyError(f"unknown point {point}")
 
 
-def chain_network(
-    n_points: int,
-    speed_limit: float | Sequence[float] = 65.0,
-    n_in: int = 4,
-    m_out: int = 4,
-    id_prefix: str = "d",
-) -> NetworkSpec:
-    """Build a simple chain network of ``n_points`` (>= 0) consecutive detectors."""
+def chain_network(n_points: int, speed_limit: float = 65.0, n_in: int = 4, m_out: int = 4) -> NetworkSpec:
+    """Build a chain of ``n_points`` (>= 0) consecutive detectors ``d000``,
+    ``d001``, ... that share one speed limit."""
     if n_points < 0:
         raise ValueError(f"a chain network needs a point count >= 0, got {n_points}")
-    points = tuple(PointId(f"{id_prefix}{k:03d}", k) for k in range(n_points))
-    if isinstance(speed_limit, (int, float)):
-        limits = (float(speed_limit),) * n_points
-    else:
-        limits = tuple(float(v) for v in speed_limit)
-    return NetworkSpec(points=points, speed_limits=limits, n_in=n_in, m_out=m_out)
+    points = tuple(PointId(f"d{k:03d}", k) for k in range(n_points))
+    return NetworkSpec(points=points, speed_limits=(float(speed_limit),) * n_points, n_in=n_in, m_out=m_out)
 
 
 def neighbor_rows(spec: NetworkSpec, point: PointId, cfg: SnapshotConfig) -> list[PointId]:

@@ -43,6 +43,7 @@ from .core import (
     SnapshotConfig,
     chain_network,
     check_field_types,
+    check_type,
     from_json,
     json_object,
     read_only,
@@ -77,6 +78,7 @@ __all__ = [
     "dataset_to_bytes",
     "dataset_from_bytes",
     "load_profile",
+    "MAX_GRID_CELLS",
     "DATASET_FORMAT_VERSION",
 ]
 
@@ -168,9 +170,7 @@ class CleanSeries:
             raise ValueError("values must be a non-empty 1-D array")
         if not np.all(np.isfinite(values)) or values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("conditions must lie in [0, 1]")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", read_only(values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -775,6 +775,10 @@ class SynthJob:
 # profile keys that describe the run; every other key is a SyntheticProfile field
 _JOB_KEYS = ("snapshot", "network", "days", "start")
 
+# the most conditions (points x days x slots a day) a profile may ask ``synth``
+# for: about 500 times the bundled profile's 133,632
+MAX_GRID_CELLS = 2**26
+
 
 def load_profile(path: str | Path) -> SynthJob:
     """Read a JSON synthesis profile.
@@ -786,25 +790,33 @@ def load_profile(path: str | Path) -> SynthJob:
     (``base_speed_ratio``, ``noise_std``, ``propagation_lag_steps``,
     ``dips``), whose defaults are the dataclasses' own.  Raises ValueError
     naming the field for a value of another type, an unknown key, a missing
-    ``days`` or a ``start`` that is not an ISO timestamp.
+    ``days``, a ``start`` that is not an ISO timestamp, or a grid of more than
+    ``MAX_GRID_CELLS`` conditions, which it checks before it builds anything.
     """
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
     cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
     net = json_object(doc.get("network"), "network")
     points = net.get("points")
+    if isinstance(points, bool) or not isinstance(points, (int, list)):
+        raise ValueError(f"network.points must be a point count or a list of point objects, got {points!r}")
+    if "days" not in doc:
+        raise ValueError(f"profile {path} lacks the required field 'days'")
+    days = check_type(doc["days"], "int", "SynthJob.days")
+    n_points = len(points) if isinstance(points, list) else points
+    cells = max(n_points, 0) * max(days, 0) * (24 * 60 // cfg.step_minutes)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"profile {path}: a grid of {cells} cells (points x days x slots a day) exceeds {MAX_GRID_CELLS}"
+        )
     if isinstance(points, list):
         entries = [json_object(p, f"network.points[{i}]") for i, p in enumerate(points)]
         entries = [[p.get("id"), p.get("order_index"), p.get("speed_limit")] for p in entries]
         spec = _network(entries, "network.points", cfg.n_in, cfg.m_out)
-    elif isinstance(points, int) and not isinstance(points, bool):
+    else:
         limit = net.get("speed_limit", 65.0)
         if isinstance(limit, bool) or not isinstance(limit, (int, float)):
             raise ValueError(f"network.speed_limit must be a number, got {limit!r}")
         spec = chain_network(points, limit, n_in=cfg.n_in, m_out=cfg.m_out)
-    else:
-        raise ValueError(f"network.points must be a point count or a list of point objects, got {points!r}")
-    if "days" not in doc:
-        raise ValueError(f"profile {path} lacks the required field 'days'")
     start = doc.get("start", "2024-01-01T00:00:00")
     try:
         start = datetime.fromisoformat(start)
@@ -819,6 +831,6 @@ def load_profile(path: str | Path) -> SynthJob:
         profile=from_json(SyntheticProfile, profile, "profile"),
         spec=spec,
         cfg=cfg,
-        days=doc["days"],
+        days=days,
         start=start,
     )

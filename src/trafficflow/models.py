@@ -188,19 +188,6 @@ class CnnPredictor(_Predictor):
     kind = "cnn"
     _manifest = staticmethod(_cnn_manifest)
 
-    def shape_chain(self) -> list[tuple[int, ...]]:
-        """Data shapes through the network, input to output."""
-        h1, w1 = SNAP_ROWS - _FILTER + 1, SNAP_COLS - _FILTER + 1
-        h2, w2 = h1 - _FILTER + 1, w1 - _FILTER + 1
-        return [
-            (SNAP_ROWS, SNAP_COLS),
-            (h1, w1, _FILTERS),
-            (h2, w2, _FILTERS),
-            (self.params["fc1_w"].shape[0],),
-            (_HIDDEN_DENSE,),
-            (1,),
-        ]
-
     def forward_batch(self, matrices: np.ndarray):
         """Predictions for a (B, 9, 5) stack; returns (preds (B,), cache)."""
         x = _stack(matrices)

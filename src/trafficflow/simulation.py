@@ -128,8 +128,6 @@ class Node:
         span = self._span = cfg.cols
         self._values = np.zeros((len(rows), span))
         self._stamps = np.full(self._values.shape, -1)  # -1: never written
-        # row t % span: the slots of ticks t - span + 1 .. t, oldest first
-        self._slots = (np.arange(span)[:, None] + np.arange(1, span + 1)) % span
         self._clock = -1  # newest tick observed or stepped
 
     def observe(self, tick: int, condition: float) -> None:
@@ -166,12 +164,11 @@ class Node:
         delta = self.cfg.delta
         if tick < delta:
             return SimRecord(tick, self.point.id, None, SKIP_WARMUP)
-        # slot s only ever holds ticks congruent to s mod delta + 1, so the
-        # window is complete exactly when every stamp lies in it
-        if self._stamps.min() >= tick - delta and self._stamps.max() <= tick:
-            return self._values[:, self._slots[tick % self._span]]
         window = np.arange(tick - delta, tick + 1)
-        fresh = self._stamps[:, window % self._span] == window
+        slots = window % self._span
+        fresh = self._stamps[:, slots] == window
+        if fresh.all():
+            return self._values[:, slots]
         stale = [self.row_ids[r] for r in np.flatnonzero(~fresh.all(axis=1))]
         return SimRecord(tick, self.point.id, None, f"{SKIP_STALE}:{','.join(stale)}")
 

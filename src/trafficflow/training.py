@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,36 +38,25 @@ class EmptySplitError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/test assignment along one axis.
-
-    axis="point": integers mean "first K eligible points" (train) and "the
-    next K" (test); sequences are explicit order_index collections.
-    axis="time": integers mean "first K calendar days" and "the next K";
-    sequences are explicit ISO dates.
-    """
+    """Disjoint train/test assignment along one axis, by count: the first
+    ``train`` units and the next ``test`` ones.  Units are eligible centre
+    points in order (axis="point") or calendar days (axis="time")."""
 
     axis: str
-    train: int | tuple = 20
-    test: int | tuple = 30
+    train: int = 20
+    test: int = 30
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.axis not in ("point", "time"):
             raise ValueError(f"unknown split axis {self.axis!r}")
-        for name in ("train", "test"):
-            value = getattr(self, name)
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                object.__setattr__(self, name, int(value))
-            elif isinstance(value, Sequence) and not isinstance(value, str):
-                object.__setattr__(self, name, tuple(value))
-            else:
-                raise ValueError(f"SplitSpec.{name} must be a count or a list of units, got {value!r}")
 
 
-def by_point(train: int | Sequence[int] = 20, test: int | Sequence[int] = 30) -> SplitSpec:
+def by_point(train: int = 20, test: int = 30) -> SplitSpec:
     return SplitSpec(axis="point", train=train, test=test)
 
 
-def by_time(train: int | Sequence[str] = 48, test: int | Sequence[str] = 12) -> SplitSpec:
+def by_time(train: int = 48, test: int = 12) -> SplitSpec:
     return SplitSpec(axis="time", train=train, test=test)
 
 
@@ -104,7 +92,7 @@ class TrainConfig:
         settings = asdict(self)
         del settings["checkpoint_dir"]
         for key, value in settings.pop("split").items():
-            settings[f"split_{key}"] = list(value) if isinstance(value, tuple) else value
+            settings[f"split_{key}"] = value
         settings["train_units"], settings["test_units"] = split_units
         return settings
 
@@ -130,55 +118,39 @@ class TrainReport:
         return doc
 
 
-def _resolve_units(available: list, requested: int | tuple, offset: int, side: str) -> list:
-    if isinstance(requested, int):
-        if requested < 0:
-            raise ValueError(f"{side} count must be >= 0")
-        chosen = available[offset : offset + requested]
-        if len(chosen) < requested:
-            raise EmptySplitError(
-                f"{side}: requested {requested} units, only {len(chosen)} available past offset {offset}"
-            )
-        return chosen
-    missing = [u for u in requested if u not in available]
-    if missing:
-        raise EmptySplitError(f"{side}: units {missing} absent from dataset")
-    return list(requested)
+def _take(units: list, count: int, offset: int, side: str) -> list:
+    """``count`` of ``units`` from ``offset`` on."""
+    if count < 0:
+        raise ValueError(f"{side} count must be >= 0")
+    chosen = units[offset : offset + count]
+    if len(chosen) < count:
+        raise EmptySplitError(f"{side}: requested {count} units, only {len(chosen)} available past offset {offset}")
+    return chosen
 
 
-def _units(dataset: Dataset, axis: str) -> tuple[np.ndarray, dict]:
-    """Each snapshot's split key, and the distinct units in sorted order
-    mapped to their keys.  Units are centre-point order indices on the point
-    axis and ISO calendar dates on the time axis."""
-    keys = dataset.point_order() if axis == "point" else dataset.times().astype("datetime64[D]")
-    distinct = np.unique(keys)
-    labels = [int(k) for k in distinct] if axis == "point" else [str(k) for k in distinct]
-    return keys, dict(zip(labels, distinct))
+def _keys(dataset: Dataset, axis: str) -> np.ndarray:
+    """Each snapshot's split key: its centre point's order index on the point
+    axis, its calendar day on the time axis."""
+    return dataset.point_order() if axis == "point" else dataset.times().astype("datetime64[D]")
+
+
+def _labels(dataset: Dataset, axis: str) -> list:
+    """The distinct units of ``dataset`` in sorted order: order indices or
+    ISO dates."""
+    distinct = np.unique(_keys(dataset, axis))
+    return [int(k) for k in distinct] if axis == "point" else [str(k) for k in distinct]
 
 
 def split(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset]:
     """Partition snapshots by centre point or by calendar day, disjointly."""
     spec = cfg.split
-    keys, units = _units(dataset, spec.axis)
-    available = list(units)
-
-    train_units = _resolve_units(available, spec.train, 0, "train")
-    if isinstance(spec.test, int):
-        offset = len(train_units) if isinstance(spec.train, int) else 0
-        test_units = _resolve_units(available, spec.test, offset, "test")
-    else:
-        test_units = _resolve_units(available, spec.test, 0, "test")
-
-    overlap = set(train_units) & set(test_units)
-    if overlap:
-        raise EmptySplitError(f"train/test overlap on units {sorted(overlap)}")
-    if not train_units or not test_units:
+    keys = _keys(dataset, spec.axis)
+    distinct = list(np.unique(keys))
+    train_keys = _take(distinct, spec.train, 0, "train")
+    test_keys = _take(distinct, spec.test, spec.train, "test")
+    if not train_keys or not test_keys:
         raise EmptySplitError("both split sides must be nonempty")
-
-    train_idx = np.flatnonzero(np.isin(keys, [units[u] for u in train_units]))
-    test_idx = np.flatnonzero(np.isin(keys, [units[u] for u in test_units]))
-    if not train_idx.size or not test_idx.size:
-        raise EmptySplitError("a split side matched no snapshots")
+    train_idx, test_idx = (np.flatnonzero(np.isin(keys, side)) for side in (train_keys, test_keys))
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
@@ -191,8 +163,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
     """
     started = _time.perf_counter()
     train_ds, test_ds = split(dataset, cfg)
-    train_units = list(_units(train_ds, cfg.split.axis)[1])
-    test_units = list(_units(test_ds, cfg.split.axis)[1])
+    train_units = _labels(train_ds, cfg.split.axis)
+    test_units = _labels(test_ds, cfg.split.axis)
 
     model = models.KINDS[cfg.model].initialize(cfg.seed)
     targets = train_ds.targets()

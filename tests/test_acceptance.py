@@ -36,7 +36,9 @@ def _pass(number: int, name: str) -> None:
 
 def test_criterion_1_cnn_shape_fidelity():
     model = models.CnnPredictor.initialize(0)
-    assert model.shape_chain() == [(9, 5), (7, 3, 64), (5, 1, 64), (320,), (32,), (1,)]
+    _, (conv1, conv2, fc1, fc2, _) = model.forward_batch(np.zeros((2, 9, 5)))
+    shapes = [conv1.in_shape[1:3], *(a.shape[1:] for a in (conv1.out, conv2.out, fc1.x, fc1.out, fc2.out))]
+    assert shapes == [(9, 5), (7, 3, 64), (5, 1, 64), (320,), (32,), (1,)]
     # the chain is also enforced at construction: a wrong fc1 width is rejected
     broken = {k: v.copy() for k, v in model.params.items()}
     broken["fc1_w"] = np.zeros((321, 32))

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a tiny synthetic world."""
 
 import json
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -260,13 +261,20 @@ SYNTH = ["synth", "--profile", "{doc}"]
      "PointId.order_index must be of type int"),
     ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": 0}]}}, SYNTH,
      "NetworkSpec.speed_limits must be numbers"),
+    ({"epochs": 1, "train_units": [4, 5]}, TRAIN, "SplitSpec.train must be of type int"),
+    # the grid is bounded before any point or condition is built
+    ({**TINY_PROFILE, "network": {"points": 10**30}}, SYNTH,
+     f"a grid of {10**30 * 2 * 48} cells (points x days x slots a day) exceeds {2**26}"),
+    ({**TINY_PROFILE, "days": 10**9}, SYNTH, f"a grid of {12 * 10**9 * 48} cells"),
 ])
 def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, argv, message):
     # every command checks its settings before it opens its data file
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(doc))
     argv = [arg.format(doc=path, missing=tmp_path / "missing") for arg in argv]
+    started = time.perf_counter()
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 

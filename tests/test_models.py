@@ -118,11 +118,6 @@ def test_lstm_parameter_count_from_shape_arithmetic():
     assert model.param_count == expected == 5_701
 
 
-def test_cnn_shape_chain():
-    model = models.CnnPredictor.initialize(0)
-    assert model.shape_chain() == [(9, 5), (7, 3, 64), (5, 1, 64), (320,), (32,), (1,)]
-
-
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
 def test_zero_parameters_predict_one_half(kind):
     if kind == "cnn":

@@ -62,25 +62,14 @@ def test_by_time_split_48_12():
 
 
 def test_empty_split_rejected():
-    ds = _synthetic_dataset()
-    with pytest.raises(training.EmptySplitError):
+    ds = _synthetic_dataset()  # 4 eligible points
+    with pytest.raises(training.EmptySplitError, match="^both split sides must be nonempty$"):
         training.split(ds, training.TrainConfig(split=training.by_point(4, 0)))
-    with pytest.raises(training.EmptySplitError):
-        training.split(ds, training.TrainConfig(split=training.by_point(4, 1)))  # only 4 eligible
-
-
-def test_overlapping_explicit_split_rejected():
-    ds = _synthetic_dataset()
-    spec_split = training.SplitSpec(axis="point", train=(4, 5), test=(5, 6))
-    with pytest.raises(training.EmptySplitError, match="overlap"):
-        training.split(ds, training.TrainConfig(split=spec_split))
-
-
-def test_split_units_missing_from_dataset_rejected():
-    ds = _synthetic_dataset()
-    spec_split = training.SplitSpec(axis="point", train=(4, 5), test=(99,))
-    with pytest.raises(training.EmptySplitError, match="absent"):
-        training.split(ds, training.TrainConfig(split=spec_split))
+    with pytest.raises(training.EmptySplitError, match="^test: requested 1 units, only 0 available past offset 4$"):
+        training.split(ds, training.TrainConfig(split=training.by_point(4, 1)))
+    with pytest.raises(ValueError, match="^train count must be >= 0$") as err:
+        training.split(ds, training.TrainConfig(split=training.by_point(-1, 2)))
+    assert type(err.value) is ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -221,5 +210,6 @@ def test_train_config_validation():
                 {"model": ["cnn"]}, {"loss": 0}, {"checkpoint_dir": 5}):
         with pytest.raises(ValueError, match="must be"):
             training.TrainConfig(**bad)
-    with pytest.raises(ValueError, match="must be"):
-        training.by_point(None)
+    for bad in (None, (4, 5), [4], 4.0, True):  # a split side is a count, never a list of units
+        with pytest.raises(ValueError, match="SplitSpec.train must be of type int"):
+            training.by_point(bad)
