@@ -48,11 +48,7 @@ def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
     key that is not one of ``keys``."""
     if not path:
         return {}
-    doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"config file {path} has no field {unknown[0]!r}")
-    return doc
+    return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}", keys)
 
 
 # train settings a flag or the config file may give; a config file may give no other key
@@ -115,7 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     given = _load_config_file(args.config_file, _TRAIN_KEYS)
     given.update({key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None})
     axis = given.pop("split_axis", "point")
-    if axis not in _SPLITS:
+    if axis not in tuple(_SPLITS):  # a tuple: an unhashable value is not an axis either
         raise ValueError(f"unknown split axis {axis!r}")
     units = {side: given.pop(f"{side}_units") for side in ("train", "test") if f"{side}_units" in given}
     cfg = training.TrainConfig(**given, split=_SPLITS[axis](**units))

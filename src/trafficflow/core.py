@@ -13,8 +13,10 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,50 +50,68 @@ def check_condition(value: float) -> float:
     return value
 
 
-_FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating), "str": (str,)}
+_SCALARS = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
+# each dataclass field's resolved annotation, by class: resolved once per class
+_field_kinds = cache(get_type_hints)
 
 
-def check_type(value, kind: str, name: str):
-    """``value`` if it is of type ``kind`` ("int", "float" or "str"), a numpy
-    scalar as a Python one; a bool is none of them.  Raises ValueError naming
-    ``name`` if not."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, _FIELD_TYPES[kind]):
-        raise ValueError(f"{name} must be of type {kind}, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+def check_type(value, kind, name: str):
+    """``value`` if it is of type ``kind``: int, float (an int is one) or str,
+    a numpy scalar as a Python one and a bool as none of them; another class;
+    a union of classes; or ``tuple[X, ...]``, each item checked as ``name[i]``.
+    Raises ValueError naming ``name`` if not."""
+    scalar = _SCALARS.get(kind)
+    if scalar:
+        if isinstance(value, scalar) and not isinstance(value, (bool, np.bool_)):
+            return value.item() if isinstance(value, np.generic) else value
+    elif isinstance(kind, type) or get_origin(kind) is not tuple:  # a class or a union
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, tuple):
+        return tuple(check_type(v, get_args(kind)[0], f"{name}[{i}]") for i, v in enumerate(value))
+    raise ValueError(f"{name} must be of type {getattr(kind, '__name__', kind)}, got {value!r}")
 
 
 def check_field_types(obj) -> None:
-    """``check_type`` on each dataclass field annotated "int", "float" or
-    "str" (string annotations), naming the first that fails; numpy scalars
-    are stored as Python ones."""
-    for f in fields(obj):
-        if f.type in _FIELD_TYPES:
-            value = getattr(obj, f.name)
-            checked = check_type(value, f.type, f"{type(obj).__name__}.{f.name}")
-            if checked is not value:
-                object.__setattr__(obj, f.name, checked)
+    """``check_type`` on each dataclass field against its annotation, naming
+    the first that fails; a numpy scalar or a tuple is stored as checked."""
+    cls = type(obj)
+    for key, kind in _field_kinds(cls).items():
+        value = getattr(obj, key)
+        checked = check_type(value, kind, f"{cls.__name__}.{key}")
+        if checked is not value:
+            object.__setattr__(obj, key, checked)
 
 
-def json_object(doc, name: str) -> dict:
-    """``doc`` itself if it is a JSON object; ValueError naming ``name`` if not."""
+def json_object(doc, name: str, keys=None) -> dict:
+    """``doc`` itself if it is a JSON object with no key outside ``keys``
+    (when given); ValueError naming ``name`` or the first unknown key if not."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc).difference(doc if keys is None else keys))
+    if unknown:
+        raise ValueError(f"{name} has no field {unknown[0]!r}")
     return doc
 
 
-def from_json(cls, doc, name: str):
-    """The dataclass ``cls`` built from the JSON object ``doc``; the fields it
-    leaves out keep their defaults.  Raises ValueError naming ``name`` and the
-    field for anything but an object, an unknown key or a missing required
-    field, and whatever ``cls`` raises for a bad value."""
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(json_object(doc, name)) - set(known))
-    if unknown:
-        raise ValueError(f"{name} has no field {unknown[0]!r}")
-    for key, f in known.items():
-        if key not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{name} lacks the required field {key!r}")
-    return cls(**doc)
+def from_json(kind, doc, name: str):
+    """``doc`` read as ``kind``: a dataclass from a JSON object, each field by
+    its annotation as ``name.field`` (a field left out keeps its default), a
+    ``tuple[X, ...]`` from a list, and any other value as it is, for the
+    dataclass to check.  Raises ValueError naming the field for another JSON
+    type, an unknown key or a missing required field."""
+    if get_origin(kind) is tuple:
+        if not isinstance(doc, list):
+            raise ValueError(f"{name} must be a list, got {doc!r}")
+        return tuple(from_json(get_args(kind)[0], v, f"{name}[{i}]") for i, v in enumerate(doc))
+    if not is_dataclass(kind):
+        return doc
+    kinds = _field_kinds(kind)
+    json_object(doc, name, kinds)
+    for f in fields(kind):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{name} lacks the required field {f.name!r}")
+    return kind(**{key: from_json(kinds[key], value, f"{name}.{key}") for key, value in doc.items()})
 
 
 @dataclass(frozen=True, order=True)
@@ -126,8 +146,8 @@ class SnapshotConfig:
             raise ValueError("delta must be >= 1")
         if self.n_in < 0 or self.m_out < 0:
             raise ValueError("neighbour counts must be >= 0")
-        if self.step_minutes <= 0:
-            raise ValueError("step_minutes must be > 0")
+        if not 0 < self.step_minutes <= 24 * 60:
+            raise ValueError(f"step_minutes must be in [1, 1440], got {self.step_minutes}")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
 
@@ -157,19 +177,13 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        object.__setattr__(self, "points", tuple(self.points))
-        if not all(isinstance(p, PointId) for p in self.points):
-            raise ValueError(f"NetworkSpec.points must be PointIds, got {self.points!r}")
-        numbers = _FIELD_TYPES["float"]
-        if not all(isinstance(v, numbers) and not isinstance(v, (bool, np.bool_)) for v in self.speed_limits):
-            raise ValueError(f"NetworkSpec.speed_limits must be numbers, got {self.speed_limits!r}")
         object.__setattr__(self, "speed_limits", tuple(float(v) for v in self.speed_limits))
         if len(self.points) != len(self.speed_limits):
             raise ValueError("points and speed_limits must have equal length")
         order = [p.order_index for p in self.points]
         if any(b <= a for a, b in zip(order, order[1:])):
             raise ValueError("points must be sorted by strictly increasing order_index")
-        if any(limit <= 0 for limit in self.speed_limits):
+        if not all(limit > 0 for limit in self.speed_limits):  # NaN is not
             raise ValueError("speed limits must be strictly positive")
 
     def __len__(self) -> int:

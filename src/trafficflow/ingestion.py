@@ -28,7 +28,7 @@ import io
 import itertools
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -64,6 +64,7 @@ __all__ = [
     "Snapshots",
     "RushHourDip",
     "SyntheticProfile",
+    "ProfileNetwork",
     "SynthJob",
     "read_detector_file",
     "write_raw_file",
@@ -581,9 +582,6 @@ class RushHourDip:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not isinstance(self.days, Iterable):
-            raise ValueError(f"RushHourDip.days must be a list of weekdays, got {self.days!r}")
-        object.__setattr__(self, "days", tuple(self.days))
         if self.end_slot < self.start_slot:
             raise ValueError("end_slot must be >= start_slot")
         if not 0.0 < self.depth <= 1.0:
@@ -606,10 +604,9 @@ class SyntheticProfile:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        object.__setattr__(self, "dips", tuple(self.dips))
         if not 0.0 <= self.base_speed_ratio <= 1.0:
             raise ValueError("base_speed_ratio must be in [0, 1]")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # NaN is not
             raise ValueError("noise_std must be >= 0")
         if self.propagation_lag_steps < 0:
             raise ValueError("propagation_lag_steps must be >= 0")
@@ -728,22 +725,17 @@ def dataset_from_bytes(data: bytes) -> Dataset:
     try:
         cfg = from_json(SnapshotConfig, header.get("config"), "dataset header config")
         net = json_object(header.get("network"), "dataset header network")
-        spec = _network(net.get("points"), "dataset header network points", net.get("n_in"), net.get("m_out"))
+        entries = net.get("points")
+        if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 3 for e in entries):
+            raise ValueError(f"dataset header network points must be a list of [id, order_index, speed_limit] "
+                             f"entries, got {entries!r}")
+        points = tuple(PointId(pid, order) for pid, order, _ in entries)
+        spec = NetworkSpec(points, tuple(limit for _, _, limit in entries), net.get("n_in"), net.get("m_out"))
         start = datetime.fromisoformat(start)
     except ValueError as err:
         raise ContainerFormatError(str(err)) from None
     windows = Windows(arrays["grid"], start, arrays["centre"], arrays["column"])
     return Dataset(windows, cfg, spec)
-
-
-def _network(entries, name: str, n_in, m_out) -> NetworkSpec:
-    """The network of a JSON list of ``[id, order_index, speed_limit]``
-    entries.  Raises ValueError naming ``name`` or the field for anything
-    else."""
-    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 3 for e in entries):
-        raise ValueError(f"{name} must be a list of [id, order_index, speed_limit] entries, got {entries!r}")
-    points = tuple(PointId(pid, order) for pid, order, _ in entries)
-    return NetworkSpec(points, tuple(limit for _, _, limit in entries), n_in, m_out)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -756,6 +748,17 @@ def load_dataset(path: str | Path) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # profile files
+
+
+@dataclass(frozen=True)
+class ProfileNetwork:
+    """A profile's ``network``: a chain of ``points`` detectors with one speed limit."""
+
+    points: int
+    speed_limit: float = 65.0
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -776,60 +779,46 @@ class SynthJob:
 _JOB_KEYS = ("snapshot", "network", "days", "start")
 
 # the most conditions (points x days x slots a day) a profile may ask ``synth``
-# for: about 500 times the bundled profile's 133,632
+# for, about 500 times the bundled profile's 133,632, or slots in another array
 MAX_GRID_CELLS = 2**26
 
 
 def load_profile(path: str | Path) -> SynthJob:
-    """Read a JSON synthesis profile.
-
-    Schema: ``snapshot`` (SnapshotConfig fields), ``network`` (either
-    ``{"points": N, "speed_limit": v}`` or ``{"points": [...]}``, a list of
-    ``{"id", "order_index", "speed_limit"}`` objects), ``days``,
-    ``start`` (ISO timestamp), and the SyntheticProfile fields
-    (``base_speed_ratio``, ``noise_std``, ``propagation_lag_steps``,
-    ``dips``), whose defaults are the dataclasses' own.  Raises ValueError
-    naming the field for a value of another type, an unknown key, a missing
-    ``days``, a ``start`` that is not an ISO timestamp, or a grid of more than
-    ``MAX_GRID_CELLS`` conditions, which it checks before it builds anything.
+    """Read a JSON synthesis profile: ``snapshot`` (SnapshotConfig fields),
+    ``network`` (ProfileNetwork fields), ``days``, ``start`` (an ISO
+    timestamp) and the SyntheticProfile fields, whose defaults are the
+    dataclasses' own.  Raises ValueError naming the field for a value of
+    another type, an unknown key, a missing ``days``, a ``start`` that is not
+    an ISO timestamp or ``days`` that run past the year 9999.  Before it
+    builds anything, it refuses, naming the fields, a size over
+    ``MAX_GRID_CELLS``: the grid, the dip row's lead or a dip's slots.
     """
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
     cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
-    net = json_object(doc.get("network"), "network")
-    points = net.get("points")
-    if isinstance(points, bool) or not isinstance(points, (int, list)):
-        raise ValueError(f"network.points must be a point count or a list of point objects, got {points!r}")
+    net = from_json(ProfileNetwork, doc.get("network"), "network")
     if "days" not in doc:
         raise ValueError(f"profile {path} lacks the required field 'days'")
-    days = check_type(doc["days"], "int", "SynthJob.days")
-    n_points = len(points) if isinstance(points, list) else points
-    cells = max(n_points, 0) * max(days, 0) * (24 * 60 // cfg.step_minutes)
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"profile {path}: a grid of {cells} cells (points x days x slots a day) exceeds {MAX_GRID_CELLS}"
-        )
-    if isinstance(points, list):
-        entries = [json_object(p, f"network.points[{i}]") for i, p in enumerate(points)]
-        entries = [[p.get("id"), p.get("order_index"), p.get("speed_limit")] for p in entries]
-        spec = _network(entries, "network.points", cfg.n_in, cfg.m_out)
-    else:
-        limit = net.get("speed_limit", 65.0)
-        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
-            raise ValueError(f"network.speed_limit must be a number, got {limit!r}")
-        spec = chain_network(points, limit, n_in=cfg.n_in, m_out=cfg.m_out)
+    days = check_type(doc["days"], int, "SynthJob.days")
     start = doc.get("start", "2024-01-01T00:00:00")
     try:
         start = datetime.fromisoformat(start)
     except (TypeError, ValueError):
         raise ValueError(f"start must be an ISO timestamp string, got {start!r}") from None
-    profile = {key: value for key, value in doc.items() if key not in _JOB_KEYS}
-    if "dips" in profile:
-        if not isinstance(profile["dips"], list):
-            raise ValueError(f"dips must be a list of objects, got {profile['dips']!r}")
-        profile["dips"] = [from_json(RushHourDip, d, f"dips[{i}]") for i, d in enumerate(profile["dips"])]
+    profile = from_json(SyntheticProfile, {key: value for key, value in doc.items() if key not in _JOB_KEYS}, "profile")
+    sizes = {
+        "a grid of {} cells (points x days x slots a day)": max(net.points, 1) * days * (24 * 60 // cfg.step_minutes),
+        "a lead of {} slots (propagation_lag_steps x (points - 1))": profile.propagation_lag_steps * (net.points - 1),
+        **{f"dips[{i}] over {{}} slots (days x (end_slot - start_slot + 1 + 2 x ramp_slots))":
+           days * (d.end_slot - d.start_slot + 1 + 2 * d.ramp_slots) for i, d in enumerate(profile.dips)},
+    }
+    for what, size in sizes.items():
+        if size > MAX_GRID_CELLS:
+            raise ValueError(f"profile {path}: {what.format(size)} exceeds {MAX_GRID_CELLS}")
+    if days > datetime.max.toordinal() - start.toordinal():
+        raise ValueError(f"profile {path}: {days} days from start {start} run past {datetime.max}")
     return SynthJob(
-        profile=from_json(SyntheticProfile, profile, "profile"),
-        spec=spec,
+        profile=profile,
+        spec=chain_network(net.points, net.speed_limit, n_in=cfg.n_in, m_out=cfg.m_out),
         cfg=cfg,
         days=days,
         start=start,

@@ -359,7 +359,7 @@ def load(data: bytes) -> ModelParams:
     config object)."""
     header, arrays = read_container(data, MODEL_MAGIC, MODEL_FORMAT_VERSION)
     kind, config = header.get("kind"), header.get("config", {})
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ManifestMismatchError(f"unknown model kind {kind!r}")
     if not isinstance(config, dict):
         raise ContainerFormatError(f"model header config is not a JSON object: {config!r}")

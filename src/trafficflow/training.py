@@ -83,8 +83,6 @@ class TrainConfig:
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.loss != "strict":
             raise ValueError(f"unknown loss kind {self.loss!r}; only 'strict' is defined")
-        if not isinstance(self.checkpoint_dir, (str, Path, type(None))):
-            raise ValueError(f"TrainConfig.checkpoint_dir must be a path, got {self.checkpoint_dir!r}")
 
     def echo(self, split_units: tuple[list, list]) -> dict:
         """Every setting but ``checkpoint_dir``, the split's fields as

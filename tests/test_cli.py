@@ -250,22 +250,37 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "network": [1]}, SYNTH, "network must be a JSON object"),
     ({**TINY_PROFILE, "network": 5}, SYNTH, "network must be a JSON object"),
     ({key: v for key, v in TINY_PROFILE.items() if key != "network"}, SYNTH, "network must be a JSON object"),
-    ({**TINY_PROFILE, "network": {"points": "x"}}, SYNTH, "network.points must be a point count"),
-    ({**TINY_PROFILE, "network": {"points": True}}, SYNTH, "network.points must be a point count"),
-    ({**TINY_PROFILE, "network": {"points": 12, "speed_limit": "60"}}, SYNTH, "network.speed_limit must be a number"),
-    ({**TINY_PROFILE, "network": {"points": ["x"]}}, SYNTH, "network.points[0] must be a JSON object"),
+    ({**TINY_PROFILE, "network": {"points": "x"}}, SYNTH, "ProfileNetwork.points must be of type int, got 'x'"),
+    ({**TINY_PROFILE, "network": {"points": True}}, SYNTH, "ProfileNetwork.points must be of type int, got True"),
+    ({**TINY_PROFILE, "network": {"points": 12, "speed_limit": "60"}}, SYNTH,
+     "ProfileNetwork.speed_limit must be of type float, got '60'"),
+    # a network is a point count: the list of point objects is not a form
+    ({**TINY_PROFILE, "network": {"points": ["x"]}}, SYNTH, "ProfileNetwork.points must be of type int, got ['x']"),
     ({**TINY_PROFILE, "network": {"points": 0}}, SYNTH, "the network has no points"),
     ({**TINY_PROFILE, "network": {"points": -10**30}}, SYNTH, f"point count >= 0, got {-10**30}"),
-    ({**TINY_PROFILE, "network": {"points": []}}, SYNTH, "the network has no points"),
-    ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": "0", "speed_limit": 60}]}}, SYNTH,
-     "PointId.order_index must be of type int"),
-    ({**TINY_PROFILE, "network": {"points": [{"id": "a", "order_index": 0}]}}, SYNTH,
-     "NetworkSpec.speed_limits must be numbers"),
+    ({**TINY_PROFILE, "network": {"points": []}}, SYNTH, "ProfileNetwork.points must be of type int, got []"),
+    ({**TINY_PROFILE, "network": {"points": 12, "speed_limits": [60.0]}}, SYNTH, "network has no field 'speed_limits'"),
+    ({**TINY_PROFILE, "network": {"points": 12.0}}, SYNTH, "ProfileNetwork.points must be of type int, got 12.0"),
     ({"epochs": 1, "train_units": [4, 5]}, TRAIN, "SplitSpec.train must be of type int"),
     # the grid is bounded before any point or condition is built
     ({**TINY_PROFILE, "network": {"points": 10**30}}, SYNTH,
      f"a grid of {10**30 * 2 * 48} cells (points x days x slots a day) exceeds {2**26}"),
     ({**TINY_PROFILE, "days": 10**9}, SYNTH, f"a grid of {12 * 10**9 * 48} cells"),
+    # so is every other array that synth sizes from the profile
+    ({**TINY_PROFILE, "propagation_lag_steps": 10**30}, SYNTH,
+     f"a lead of {11 * 10**30} slots (propagation_lag_steps x (points - 1)) exceeds {2**26}"),
+    ({**TINY_PROFILE, "propagation_lag_steps": 10**9}, SYNTH, f"a lead of {11 * 10**9} slots"),
+    ({**TINY_PROFILE, "dips": [{**TINY_PROFILE["dips"][0], "ramp_slots": 10**30}]}, SYNTH,
+     f"dips[0] over {2 * (4 + 2 * 10**30)} slots (days x (end_slot - start_slot + 1 + 2 x ramp_slots)) "
+     f"exceeds {2**26}"),
+    ({**TINY_PROFILE, "dips": [{**TINY_PROFILE["dips"][0], "ramp_slots": 10**9}]}, SYNTH,
+     f"dips[0] over {2 * (4 + 2 * 10**9)} slots"),
+    ({**TINY_PROFILE, "dips": [{**TINY_PROFILE["dips"][0], "end_slot": 10**30}]}, SYNTH,
+     f"dips[0] over {2 * (10**30 - 7)} slots"),
+    ({**TINY_PROFILE, "start": "9999-12-31T00:00:00"}, SYNTH,
+     "2 days from start 9999-12-31 00:00:00 run past 9999-12-31 23:59:59.999999"),
+    ({"snapshot": {"step_minutes": 10**30}}, INGEST, f"step_minutes must be in [1, 1440], got {10**30}"),
+    ({"split_axis": []}, TRAIN, "unknown split axis []"),
 ])
 def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, argv, message):
     # every command checks its settings before it opens its data file
@@ -277,6 +292,40 @@ def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, a
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+_DIP = TINY_PROFILE["dips"][0]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"network": {"points": "x"}}, "ProfileNetwork.points must be of type int, got 'x'"),
+    ({"network": {"points": 12, "speed_limit": "60"}}, "ProfileNetwork.speed_limit must be of type float, got '60'"),
+    ({"network": {"points": 12, "speed_limit": float("nan")}}, "speed limits must be strictly positive"),
+    ({"network": {"points": 12, "speed_limits": [60.0]}}, "network has no field 'speed_limits'"),
+    ({"dips": {"start_slot": 1}}, "profile.dips must be a list, got {'start_slot': 1}"),
+    ({"dips": ["x"]}, "profile.dips[0] must be a JSON object, got 'x'"),
+    ({"dips": [{"start_slot": 10, "depth": 0.5}]}, "profile.dips[0] lacks the required field 'end_slot'"),
+    ({"dips": [{**_DIP, "days": 5}]}, "profile.dips[0].days must be a list, got 5"),
+    ({"dips": [{**_DIP, "days": [True]}]}, "RushHourDip.days[0] must be of type int, got True"),
+    ({"noise_std": float("nan")}, "noise_std must be >= 0"),
+    ({"snapshot": {**TINY_PROFILE["snapshot"], "step_minutes": 0}}, "step_minutes must be in [1, 1440], got 0"),
+    ({"network": {"points": 0}, "days": 10**9},
+     "profile {path}: a grid of 48000000000 cells (points x days x slots a day) exceeds 67108864"),
+    ({"propagation_lag_steps": 10**30},
+     "profile {path}: a lead of 11000000000000000000000000000000 slots (propagation_lag_steps x (points - 1)) "
+     "exceeds 67108864"),
+    ({"dips": [{**_DIP, "ramp_slots": 10**9}]},
+     "profile {path}: dips[0] over 4000000008 slots (days x (end_slot - start_slot + 1 + 2 x ramp_slots)) "
+     "exceeds 67108864"),
+    ({"start": "9999-12-31T00:00:00"},
+     "profile {path}: 2 days from start 9999-12-31 00:00:00 run past 9999-12-31 23:59:59.999999"),
+])
+def test_refused_profile_prints_its_whole_message_and_writes_nothing(tmp_path, capsys, change, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({**TINY_PROFILE, **change}))
+    assert cli.main(["synth", "--profile", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message.replace('{path}', str(path))}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["profile.json"]
 
 
 def test_ingest_config_file_refuses_an_unknown_top_level_key(tmp_path, capsys):

@@ -35,6 +35,24 @@ def test_network_spec_rejects_nonpositive_speed_limit():
         core.NetworkSpec(points=points, speed_limits=(0.0,))
 
 
+@pytest.mark.parametrize("points,limits,message", [
+    ([core.PointId("a", 0)], (60.0,), "NetworkSpec.points must be of type tuple, got [PointId(id='a', order_index=0)]"),
+    ((core.PointId("a", 0), "b"), (60.0, 60.0), "NetworkSpec.points[1] must be of type PointId, got 'b'"),
+    ((core.PointId("a", 0),), (None,), "NetworkSpec.speed_limits[0] must be of type float, got None"),
+    ((core.PointId("a", 0),), (True,), "NetworkSpec.speed_limits[0] must be of type float, got True"),
+    ((core.PointId("a", 0),), (float("nan"),), "speed limits must be strictly positive"),
+])
+def test_network_spec_checks_each_point_and_limit_against_its_annotation(points, limits, message):
+    with pytest.raises(ValueError) as err:
+        core.NetworkSpec(points, limits)
+    assert str(err.value) == message
+
+
+def test_network_spec_stores_limits_as_floats():
+    spec = core.NetworkSpec((core.PointId("a", 0),), (np.int64(60),))
+    assert spec.speed_limits == (60.0,) and type(spec.speed_limits[0]) is float
+
+
 @pytest.mark.parametrize("kwargs", [
     {"delta": 0},
     {"n_in": -1},
@@ -45,6 +63,8 @@ def test_network_spec_rejects_nonpositive_speed_limit():
     {"delta": True},
     {"step_minutes": 30.0},
     {"n_in": None},
+    {"step_minutes": 24 * 60 + 1},
+    {"step_minutes": 10**30},
 ])
 def test_snapshot_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -707,12 +707,12 @@ def test_profile_values_of_another_type_are_value_errors(build):
         build()
 
 
-def test_profile_network_as_an_explicit_point_list(tmp_path):
-    points = [{"id": "up", "order_index": 3, "speed_limit": 50}, {"id": "down", "order_index": 7, "speed_limit": 70.5}]
+def test_profile_of_a_point_count_and_days_takes_every_other_default(tmp_path):
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps({"snapshot": {"n_in": 1, "m_out": 0}, "network": {"points": points}, "days": 1}))
+    path.write_text(json.dumps({"network": {"points": 9}, "days": 1}))
     job = ingestion.load_profile(path)
-    assert job.spec == core.NetworkSpec((core.PointId("up", 3), core.PointId("down", 7)), (50.0, 70.5), 1, 0)
+    assert job.spec == core.chain_network(9, 65.0)
+    assert (job.cfg, job.profile, job.days) == (core.SnapshotConfig(), ingestion.SyntheticProfile(), 1)
     assert job.start == datetime(2024, 1, 1)
 
 

@@ -103,7 +103,8 @@ _NO_VALUE = object()
     ("network", {"points": ["a", 0, 60.0], "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
     ("network", {"points": [[5, 0, 60.0]], "n_in": 0, "m_out": 0}, "PointId.id must be of type str"),
     ("network", {"points": [["a", "0", 60.0]], "n_in": 0, "m_out": 0}, "PointId.order_index must be of type int"),
-    ("network", {"points": [["a", 0, None]], "n_in": 0, "m_out": 0}, "speed_limits must be numbers"),
+    ("network", {"points": [["a", 0, None]], "n_in": 0, "m_out": 0},
+     r"speed_limits\[0\] must be of type float, got None"),
     ("network", {"points": [["a", 0, 60.0]], "n_in": 0}, "NetworkSpec.m_out must be of type int"),
 ])
 def test_malformed_dataset_header_field_is_a_format_error(key, value, message):

@@ -213,3 +213,10 @@ def test_train_config_validation():
     for bad in (None, (4, 5), [4], 4.0, True):  # a split side is a count, never a list of units
         with pytest.raises(ValueError, match="SplitSpec.train must be of type int"):
             training.by_point(bad)
+
+
+def test_checkpoint_dir_is_checked_against_its_annotation():
+    assert training.TrainConfig(checkpoint_dir="c").checkpoint_dir == "c"
+    with pytest.raises(ValueError) as err:
+        training.TrainConfig(checkpoint_dir=5)
+    assert str(err.value) == "TrainConfig.checkpoint_dir must be of type str | pathlib.Path | None, got 5"
