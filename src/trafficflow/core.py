@@ -13,9 +13,11 @@ threads.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime
 from functools import cache
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -58,13 +60,17 @@ _field_kinds = cache(get_type_hints)
 def check_type(value, kind, name: str):
     """``value`` if it is of type ``kind``: int, float (an int is one) or str,
     a numpy scalar as a Python one and a bool as none of them; another class;
-    a union of classes; or ``tuple[X, ...]``, each item checked as ``name[i]``.
-    Raises ValueError naming ``name`` if not."""
-    scalar = _SCALARS.get(kind)
+    a union, as the first member that takes it; or ``tuple[X, ...]``, each
+    item checked as ``name[i]``.  Raises ValueError naming ``name`` if not."""
+    scalar, origin = _SCALARS.get(kind), get_origin(kind)
     if scalar:
         if isinstance(value, scalar) and not isinstance(value, (bool, np.bool_)):
             return value.item() if isinstance(value, np.generic) else value
-    elif isinstance(kind, type) or get_origin(kind) is not tuple:  # a class or a union
+    elif origin is UnionType:
+        for member in get_args(kind):
+            with suppress(ValueError):
+                return check_type(value, member, name)
+    elif origin is not tuple:
         if isinstance(value, kind):
             return value
     elif isinstance(value, tuple):
@@ -142,14 +148,12 @@ class SnapshotConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.n_in < 0 or self.m_out < 0:
-            raise ValueError("neighbour counts must be >= 0")
-        if not 0 < self.step_minutes <= 24 * 60:
-            raise ValueError(f"step_minutes must be in [1, 1440], got {self.step_minutes}")
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
+        # a step is at most a day, and no window spans more than 2**20 steps
+        # or neighbours: every size numpy computes from the geometry fits
+        for key, lo, hi in (("delta", 1, 2**20), ("n_in", 0, 2**20), ("m_out", 0, 2**20),
+                            ("step_minutes", 1, 24 * 60), ("horizon_steps", 1, 2**20)):
+            if not lo <= getattr(self, key) <= hi:
+                raise ValueError(f"{key} must be in [{lo}, {hi}], got {getattr(self, key)}")
 
     @property
     def rows(self) -> int:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import PointId, SnapshotConfig
 from .ingestion import Dataset
+from .serialization import atomic_writer
 
 __all__ = [
     "UnknownPointError",
@@ -253,7 +254,7 @@ def evaluate_models(
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list], comment: str = "") -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_writer(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(comment)
         writer = csv.writer(handle)
         writer.writerow(header)

@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 DATASET_MAGIC = b"TRAFFICFLOW-DATASET\n"
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 
 class FormatError(ValueError):
@@ -690,48 +690,29 @@ def dip_mask(
 
 
 def dataset_to_bytes(dataset: Dataset) -> bytes:
-    """Format version 2: the header, the condition grid and the two index arrays."""
-    cfg, w = dataset.config, dataset.windows
-    header = {
-        "kind": "dataset",
-        "config": asdict(cfg),
-        "network": {
-            "points": [
-                [p.id, p.order_index, limit]
-                for p, limit in zip(dataset.spec.points, dataset.spec.speed_limits)
-            ],
-            "n_in": dataset.spec.n_in,
-            "m_out": dataset.spec.m_out,
-        },
-        "start": w.start.isoformat(),
-    }
+    """Format version 3: the header, the condition grid and the two index arrays."""
+    w = dataset.windows
+    header = {"config": asdict(dataset.config), "network": asdict(dataset.spec), "start": w.start.isoformat()}
     payload = [("grid", w.grid), ("centre", w.centre), ("column", w.column)]
     return write_container(DATASET_MAGIC, DATASET_FORMAT_VERSION, header, payload)
 
 
 def dataset_from_bytes(data: bytes) -> Dataset:
-    """Parse and verify dataset-file bytes.  Raises ContainerFormatError,
-    ChecksumError or VersionMismatchError for a damaged, foreign or version 1
-    file or a header without a snapshot config object, a network object and
-    a start timestamp string, and ValueError when the grid or index arrays
-    break a Dataset check."""
+    """Parse and verify dataset-file bytes, whose header's ``config`` and
+    ``network`` are read as SnapshotConfig and NetworkSpec fields and
+    ``start`` as an ISO timestamp.  Raises ContainerFormatError, ChecksumError
+    or VersionMismatchError for a damaged, foreign or older file or a header
+    field that is missing, unknown or of another type, and ValueError when
+    the grid or index arrays break a Dataset check."""
     header, arrays = read_container(data, DATASET_MAGIC, DATASET_FORMAT_VERSION)
     missing = {"grid", "centre", "column"} - set(arrays)
     if missing:
         raise ContainerFormatError(f"dataset file lacks arrays {sorted(missing)}")
-    start = header.get("start")
-    if not isinstance(start, str):
-        raise ContainerFormatError(f"dataset header start is not a string: {start!r}")
     try:
+        json_object(header, "dataset header", ("config", "network", "start"))
         cfg = from_json(SnapshotConfig, header.get("config"), "dataset header config")
-        net = json_object(header.get("network"), "dataset header network")
-        entries = net.get("points")
-        if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 3 for e in entries):
-            raise ValueError(f"dataset header network points must be a list of [id, order_index, speed_limit] "
-                             f"entries, got {entries!r}")
-        points = tuple(PointId(pid, order) for pid, order, _ in entries)
-        spec = NetworkSpec(points, tuple(limit for _, _, limit in entries), net.get("n_in"), net.get("m_out"))
-        start = datetime.fromisoformat(start)
+        spec = from_json(NetworkSpec, header.get("network"), "dataset header network")
+        start = datetime.fromisoformat(check_type(header.get("start"), str, "dataset header start"))
     except ValueError as err:
         raise ContainerFormatError(str(err)) from None
     windows = Windows(arrays["grid"], start, arrays["centre"], arrays["column"])

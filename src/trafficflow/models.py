@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .core import PointSnapshot
+from .core import PointSnapshot, check_field_types, from_json
 from .ingestion import Dataset
 from .nn import ShapeMismatchError
 from .rng import stream
@@ -75,15 +75,18 @@ class ManifestMismatchError(ValueError):
 class ModelParams:
     """Learnable parameters of one predictor plus provenance.
 
-    ``arrays`` preserves manifest order; ``config`` echoes the training
-    settings that produced the parameters.  No predictor reads it: the kind
-    and the arrays alone define the model.
+    ``arrays`` maps each array's name to it, in manifest order; ``config``
+    echoes the training settings that produced the parameters.  No predictor
+    reads it: the kind and the arrays alone define the model.
     """
 
     kind: str
-    arrays: dict[str, np.ndarray]
+    arrays: dict
     seed: int | None = None
     config: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
     @property
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -355,15 +358,18 @@ def save(params: ModelParams) -> bytes:
 
 
 def load(data: bytes) -> ModelParams:
-    """Parse and verify model-file bytes (magic, version, checksum, kind and a
-    config object)."""
+    """Parse and verify model-file bytes, whose header's ``kind``, ``seed``
+    and ``config`` are read as ModelParams fields.  Raises
+    ManifestMismatchError for a kind not in KINDS, and ContainerFormatError
+    for a header field that is unknown or of another type."""
     header, arrays = read_container(data, MODEL_MAGIC, MODEL_FORMAT_VERSION)
-    kind, config = header.get("kind"), header.get("config", {})
+    kind = header.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ManifestMismatchError(f"unknown model kind {kind!r}")
-    if not isinstance(config, dict):
-        raise ContainerFormatError(f"model header config is not a JSON object: {config!r}")
-    return ModelParams(kind=kind, arrays=arrays, seed=header.get("seed"), config=config)
+    try:
+        return from_json(ModelParams, {**header, "arrays": arrays}, "model header")
+    except ValueError as err:
+        raise ContainerFormatError(str(err)) from None
 
 
 def save_file(params: ModelParams, path: str | Path) -> None:

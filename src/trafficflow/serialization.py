@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "ChecksumError",
     "write_container",
     "read_container",
+    "atomic_writer",
     "atomic_write_bytes",
     "atomic_write_text",
 ]
@@ -128,19 +130,28 @@ def read_container(
     return header, arrays
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the target directory plus rename."""
+@contextmanager
+def atomic_writer(path: str | Path, mode: str = "wb", **options):
+    """A temp file in the target directory, opened with ``mode`` and
+    ``options`` as ``open`` takes them, that is renamed to ``path`` when the
+    block ends and removed if it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, mode, **options) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write via a temp file in the target directory plus rename."""
+    with atomic_writer(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -33,7 +33,7 @@ def test_version_prints_format_versions(capsys):
     out = capsys.readouterr().out
     assert "trafficflow" in out
     assert "model-format" in out
-    assert "dataset-format 2" in out
+    assert "dataset-format 3" in out
 
 
 def test_unknown_flag_exits_2():
@@ -281,6 +281,13 @@ SYNTH = ["synth", "--profile", "{doc}"]
      "2 days from start 9999-12-31 00:00:00 run past 9999-12-31 23:59:59.999999"),
     ({"snapshot": {"step_minutes": 10**30}}, INGEST, f"step_minutes must be in [1, 1440], got {10**30}"),
     ({"split_axis": []}, TRAIN, "unknown split axis []"),
+    # a snapshot geometry is bounded wherever it is read
+    ({"snapshot": {"delta": 10**30}}, INGEST, f"delta must be in [1, 1048576], got {10**30}"),
+    ({"snapshot": {"n_in": 10**30}}, INGEST, f"n_in must be in [0, 1048576], got {10**30}"),
+    ({}, [*INGEST, "--config", f"m_out={10**30}"], f"m_out must be in [0, 1048576], got {10**30}"),
+    ({"snapshot": {"horizon_steps": 10**30}}, INGEST, f"horizon_steps must be in [1, 1048576], got {10**30}"),
+    ({**TINY_PROFILE, "snapshot": {"delta": 10**30}}, SYNTH, f"delta must be in [1, 1048576], got {10**30}"),
+    ({**TINY_PROFILE, "snapshot": {"m_out": 10**30}}, SYNTH, f"m_out must be in [0, 1048576], got {10**30}"),
 ])
 def test_mistyped_config_value_exits_1_naming_the_field(tmp_path, capsys, doc, argv, message):
     # every command checks its settings before it opens its data file

@@ -65,10 +65,23 @@ def test_network_spec_stores_limits_as_floats():
     {"n_in": None},
     {"step_minutes": 24 * 60 + 1},
     {"step_minutes": 10**30},
+    {"delta": 10**30},
+    {"n_in": 10**30},
+    {"m_out": 10**30},
+    {"horizon_steps": 10**30},
 ])
 def test_snapshot_config_validation(kwargs):
     with pytest.raises(ValueError):
         core.SnapshotConfig(**kwargs)
+
+
+def test_snapshot_config_names_the_field_out_of_its_range():
+    for key, lo in (("delta", 1), ("n_in", 0), ("m_out", 0), ("horizon_steps", 1)):
+        core.SnapshotConfig(**{key: 2**20})
+        for value in (lo - 1, 2**20 + 1):
+            with pytest.raises(ValueError) as err:
+                core.SnapshotConfig(**{key: value})
+            assert str(err.value) == f"{key} must be in [{lo}, 1048576], got {value}"
 
 
 def test_integer_fields_take_numpy_integers_as_python_ints():

@@ -1,5 +1,6 @@
 """Daily RMSE records, box-plot summaries, series extracts, report files."""
 
+import os
 import random
 from datetime import date, time
 
@@ -224,6 +225,28 @@ def test_write_report_emits_documented_files(tmp_path):
     assert curve[0] == "point_id,date,time,model,predicted,actual"
     slot = (tmp_path / "slot_12:00.csv").read_text().splitlines()
     assert slot[0] == "point_id,date,model,predicted,actual"
+
+
+def test_write_report_leaves_no_partial_csv_when_a_rename_fails(tmp_path, monkeypatch):
+    ds, _ = _dataset()
+    report = evaluation.evaluate_models({"stub": StubPredictor(lambda s: 0.5)}, ds, slots=(time(12, 0),))
+    evaluation.write_report(report, tmp_path / "whole")
+    rows = (tmp_path / "whole" / "daily_rmse.csv").read_bytes()
+    assert rows.count(b"\r\n") == rows.count(b"\n") == 1 + len(report.records)  # csv's row ends
+    renames = []
+
+    def replace_then_fail(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError("disk full")
+        os.rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        evaluation.write_report(report, tmp_path / "cut")
+    # the first CSV is whole, the second is neither written nor left as a temp file
+    assert [p.name for p in (tmp_path / "cut").iterdir()] == ["daily_rmse.csv"]
+    assert (tmp_path / "cut" / "daily_rmse.csv").read_bytes() == rows
 
 
 def test_write_report_deterministic(tmp_path):

@@ -795,20 +795,22 @@ def test_dataset_without_targets_never_emitted():
     assert ds.z == 0
 
 
-def test_dataset_version_1_file_rejected():
-    # version 1 stored one stacked copy of every snapshot field
+@pytest.mark.parametrize("version", [1, 2])
+def test_dataset_file_of_an_older_version_rejected(version):
+    # version 1 stored one stacked copy of every snapshot field; version 2
+    # stored each network point as a list, not as NetworkSpec's fields
     arrays = _build_dataset().arrays()
-    blob = write_container(ingestion.DATASET_MAGIC, 1, {"kind": "dataset"}, list(arrays.items()))
-    with pytest.raises(VersionMismatchError):
+    blob = write_container(ingestion.DATASET_MAGIC, version, {"kind": "dataset"}, list(arrays.items()))
+    with pytest.raises(VersionMismatchError, match=f"^format version {version}, expected 3$"):
         ingestion.dataset_from_bytes(blob)
 
 
-def _version_2_blob(**arrays):
-    """A correctly checksummed version 2 file with some arrays replaced."""
+def _dataset_blob(**arrays):
+    """A correctly checksummed dataset file with some arrays replaced."""
     blob = ingestion.dataset_to_bytes(_build_dataset())
-    header, stored = read_container(blob, ingestion.DATASET_MAGIC, 2)
+    header, stored = read_container(blob, ingestion.DATASET_MAGIC, ingestion.DATASET_FORMAT_VERSION)
     stored.update(arrays)
-    return write_container(ingestion.DATASET_MAGIC, 2, header, list(stored.items()))
+    return write_container(ingestion.DATASET_MAGIC, ingestion.DATASET_FORMAT_VERSION, header, list(stored.items()))
 
 
 def _stored_arrays():
@@ -868,15 +870,22 @@ def _unequal_index_lengths():
 def test_dataset_file_content_checked_at_load(fault):
     arrays, message = fault()
     with pytest.raises(ValueError, match=message):
-        ingestion.dataset_from_bytes(_version_2_blob(**arrays))
+        ingestion.dataset_from_bytes(_dataset_blob(**arrays))
 
 
 def test_dataset_file_is_grid_plus_two_index_arrays():
     ds = _build_dataset()
-    header, arrays = read_container(ingestion.dataset_to_bytes(ds), ingestion.DATASET_MAGIC, 2)
+    header, arrays = read_container(ingestion.dataset_to_bytes(ds), ingestion.DATASET_MAGIC,
+                                    ingestion.DATASET_FORMAT_VERSION)
     assert list(arrays) == ["grid", "centre", "column"]
     assert arrays["grid"].shape == (12, 96) and arrays["centre"].shape == arrays["column"].shape == (ds.z,)
     assert header["start"] == "2024-01-01T00:00:00"
+    # the header holds the declared types' own fields and nothing else
+    assert sorted(header) == ["config", "network", "start"]
+    assert header["config"] == {"delta": 4, "n_in": 4, "m_out": 4, "step_minutes": 30, "horizon_steps": 1}
+    network = header["network"]
+    assert network["points"] == [{"id": f"d{k:03d}", "order_index": k} for k in range(12)]
+    assert (network["speed_limits"], network["n_in"], network["m_out"]) == ([60.0] * 12, 4, 4)
 
 
 def test_benchmark_contract_calls():

@@ -125,7 +125,7 @@ def test_every_checked_field_has_an_annotation_check_type_supports():
     found = _checked_dataclasses()
     assert set(found) >= {
         "PointId", "SnapshotConfig", "NetworkSpec", "RushHourDip", "SyntheticProfile",
-        "ProfileNetwork", "SynthJob", "SplitSpec", "TrainConfig",
+        "ProfileNetwork", "SynthJob", "SplitSpec", "TrainConfig", "ModelParams",
     }
     for name, cls in found.items():
         kinds = core._field_kinds(cls)
@@ -163,6 +163,9 @@ def test_annotations_are_resolved_once_per_class():
     (tuple[core.PointId, ...], (core.PointId("a", 0),), (core.PointId("a", 0),)),
     (str | Path | None, None, None),
     (str | Path | None, Path("p"), Path("p")),
+    # a union's member checks the value as it checks it alone
+    (int | None, np.int64(3), 3),
+    (tuple[float, ...] | None, (1, np.float64(0.5)), (1, 0.5)),
 ])
 def test_check_type_returns_what_the_annotation_admits(kind, value, checked):
     result = core.check_type(value, kind, "x")
@@ -177,6 +180,9 @@ def test_check_type_returns_what_the_annotation_admits(kind, value, checked):
     (tuple[core.PointId, ...], ("a",), "x[0] must be of type PointId, got 'a'"),
     (str | Path | None, 5, "x must be of type str | pathlib.Path | None, got 5"),
     (training.SplitSpec, {"axis": "point"}, "x must be of type SplitSpec, got {'axis': 'point'}"),
+    (int | None, True, "x must be of type int | None, got True"),
+    (int | None, 1.0, "x must be of type int | None, got 1.0"),
+    (tuple[int, ...] | None, (1, "2"), "x must be of type tuple[int, ...] | None, got (1, '2')"),
 ])
 def test_check_type_names_the_annotation_and_the_item(kind, value, message):
     with pytest.raises(ValueError) as err:
@@ -291,7 +297,9 @@ _MODEL_HEADER, _MODEL_ARRAYS = read_container(_MODEL, models.MODEL_MAGIC, models
 def test_model_header_edit_loads_or_raises_a_documented_error(edit):
     header = _replaced(_MODEL_HEADER, *edit)
     blob = write_container(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, header, list(_MODEL_ARRAYS.items()))
-    _outcome(lambda: models.load(blob), (ContainerFormatError, models.ManifestMismatchError))
+    params = _outcome(lambda: models.load(blob), (ContainerFormatError, models.ManifestMismatchError))
+    if isinstance(params, models.ModelParams):
+        assert type(params.seed) in (int, type(None)) and type(params.config) is dict
 
 
 # ---------------------------------------------------------------------------

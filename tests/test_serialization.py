@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficflow import ingestion, models
+from trafficflow import core, ingestion, models
 from trafficflow.serialization import (
     ChecksumError,
     ContainerFormatError,
@@ -65,9 +65,8 @@ def test_claimed_shape_past_the_payload_is_truncation():
 
 
 _DATASET_HEADER = {
-    "kind": "dataset",
     "config": {"delta": 1, "n_in": 0, "m_out": 0},
-    "network": {"points": [["a", 0, 60.0]], "n_in": 0, "m_out": 0},
+    "network": {"points": [{"id": "a", "order_index": 0}], "speed_limits": [60.0], "n_in": 0, "m_out": 0},
     "start": "2024-01-01T00:00:00",
 }
 _DATASET_ARRAYS = [("grid", np.full((1, 3), 0.5)), ("centre", np.array([0])), ("column", np.array([1]))]
@@ -80,47 +79,78 @@ def _dataset_blob(header: dict) -> bytes:
 def test_dataset_header_fixture_loads():
     dataset = ingestion.dataset_from_bytes(_dataset_blob(_DATASET_HEADER))
     assert dataset.z == 1 and dataset.config.delta == 1
+    assert dataset.spec == core.NetworkSpec((core.PointId("a", 0),), (60.0,), n_in=0, m_out=0)
 
 
 _NO_VALUE = object()
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("config", 5, "config must be a JSON object"),
-    ("config", [1], "config must be a JSON object"),
-    ("config", None, "config must be a JSON object"),
-    ("config", {"delta": 1, "deltas": 2}, "config has no field 'deltas'"),
-    ("config", {"delta": "1"}, "delta must be of type int"),
-    ("start", 5, "start is not a string"),
-    ("start", None, "start is not a string"),
-    ("start", "Monday", "Invalid isoformat string"),
-    ("network", _NO_VALUE, "network must be a JSON object"),
-    ("network", 5, "network must be a JSON object"),
-    ("network", [1], "network must be a JSON object"),
-    ("network", {"points": "x", "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
-    ("network", {"n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
-    ("network", {"points": [["a", 0]], "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
-    ("network", {"points": ["a", 0, 60.0], "n_in": 0, "m_out": 0}, r"points must be a list of \[id"),
-    ("network", {"points": [[5, 0, 60.0]], "n_in": 0, "m_out": 0}, "PointId.id must be of type str"),
-    ("network", {"points": [["a", "0", 60.0]], "n_in": 0, "m_out": 0}, "PointId.order_index must be of type int"),
-    ("network", {"points": [["a", 0, None]], "n_in": 0, "m_out": 0},
-     r"speed_limits\[0\] must be of type float, got None"),
-    ("network", {"points": [["a", 0, 60.0]], "n_in": 0}, "NetworkSpec.m_out must be of type int"),
+def _network(**change):
+    return {**_DATASET_HEADER["network"], **change}
+
+
+# each case: the header key, its value, the fault and the whole message
+@pytest.mark.parametrize("key,value,fault,message", [
+    ("config", 5, "config must be a JSON object", "dataset header config must be a JSON object, got 5"),
+    ("config", [1], "config must be a JSON object", "dataset header config must be a JSON object, got [1]"),
+    ("config", None, "config must be a JSON object", "dataset header config must be a JSON object, got None"),
+    ("config", {"delta": 1, "deltas": 2}, "config has an unknown key", "dataset header config has no field 'deltas'"),
+    ("config", {"delta": "1"}, "delta is not an int", "SnapshotConfig.delta must be of type int, got '1'"),
+    ("start", 5, "start is not a string", "dataset header start must be of type str, got 5"),
+    ("start", None, "start is not a string", "dataset header start must be of type str, got None"),
+    ("start", "Monday", "Invalid ISO timestamp", "Invalid isoformat string: 'Monday'"),
+    ("network", _NO_VALUE, "network is missing", "dataset header network must be a JSON object, got None"),
+    ("network", 5, "network must be a JSON object", "dataset header network must be a JSON object, got 5"),
+    ("network", [1], "network must be a JSON object", "dataset header network must be a JSON object, got [1]"),
+    ("network", _network(points="x"), "points must be a list", "dataset header network.points must be a list, got 'x'"),
+    ("network", {"speed_limits": [60.0]}, "points are missing",
+     "dataset header network lacks the required field 'points'"),
+    ("network", _network(points=[{"id": "a"}]), "point lacks its order_index",
+     "dataset header network.points[0] lacks the required field 'order_index'"),
+    ("network", _network(points=["a"]), "point entry is not an object",
+     "dataset header network.points[0] must be a JSON object, got 'a'"),
+    ("network", _network(points=[{"id": 5, "order_index": 0}]), "PointId.id is not a str",
+     "PointId.id must be of type str, got 5"),
+    ("network", _network(points=[{"id": "a", "order_index": "0"}]), "PointId.order_index is not an int",
+     "PointId.order_index must be of type int, got '0'"),
+    ("network", _network(speed_limits=[None]), "speed limit is not a number",
+     "NetworkSpec.speed_limits[0] must be of type float, got None"),
+    ("network", _network(m_out="0"), "NetworkSpec.m_out is not an int", "NetworkSpec.m_out must be of type int, got '0'"),
+    ("network", {"points": [{"id": "a", "order_index": 0}]}, "speed_limits are missing",
+     "dataset header network lacks the required field 'speed_limits'"),
+    ("config", {"delta": 10**30}, "delta is out of range", f"delta must be in [1, 1048576], got {10**30}"),
+    ("kind", "dataset", "a version 2 key is left over", "dataset header has no field 'kind'"),
 ])
-def test_malformed_dataset_header_field_is_a_format_error(key, value, message):
+def test_malformed_dataset_header_field_is_a_format_error(key, value, fault, message):
     header = {**_DATASET_HEADER, key: value}
     if value is _NO_VALUE:
         del header[key]
-    with pytest.raises(ContainerFormatError, match=message):
+    with pytest.raises(ContainerFormatError) as err:
         ingestion.dataset_from_bytes(_dataset_blob(header))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("config", [5, [1], "concat", None])
 def test_model_header_config_of_another_type_is_a_format_error(config):
     arrays = list(models.CnnPredictor.initialize(0).params.items())
     blob = write_container(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, {"kind": "cnn", "config": config}, arrays)
-    with pytest.raises(ContainerFormatError, match="config is not a JSON object"):
+    with pytest.raises(ContainerFormatError) as err:
         models.load(blob)
+    assert str(err.value) == f"ModelParams.config must be of type dict, got {config!r}"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"seed": True}, "ModelParams.seed must be of type int | None, got True"),
+    ({"seed": "1"}, "ModelParams.seed must be of type int | None, got '1'"),
+    ({"seed": 1.5}, "ModelParams.seed must be of type int | None, got 1.5"),
+    ({"epochs": 1}, "model header has no field 'epochs'"),
+])
+def test_model_header_field_of_another_type_or_unknown_is_a_format_error(change, message):
+    arrays = list(models.CnnPredictor.initialize(0).params.items())
+    header = {"kind": "cnn", "seed": 1, "config": {}, **change}
+    with pytest.raises(ContainerFormatError) as err:
+        models.load(write_container(models.MODEL_MAGIC, models.MODEL_FORMAT_VERSION, header, arrays))
+    assert str(err.value) == message
 
 
 _json = st.recursive(
