@@ -56,14 +56,16 @@ _HIDDEN_DENSE = 32
 _LSTM_HIDDEN = 20
 
 # About how many snapshots one predict_dataset pass takes: ``chunk`` rows per
-# LSTM forward pass and per pass of the CNN's row path, and
-# ``chunk // centre_rows`` grid columns per tile of the CNN's grid path, about
-# ``chunk`` snapshots of a full dataset.  The working set must stay
-# cache-sized: at 256 rows conv2's im2col operand is 5.9 MB on the row path,
-# at 4096 rows it is 94 MB and the CNN ran memory-bound, 1.3x slower per
-# snapshot.  A grid-path tile has at most as many conv2 cells as its
-# snapshots would have on the row path.  256 gave the fastest CNN plus LSTM
-# total in a sweep of the row path from 32 to 4096 rows.
+# LSTM pass and per pass of the CNN's row path, and ``chunk // centre_rows``
+# grid columns per tile of the CNN's grid path, about ``chunk`` snapshots of
+# a full dataset.  The working set must stay cache-sized: at 256 rows conv2's
+# im2col operand is 5.9 MB on the row path, at 4096 rows it is 94 MB and the
+# CNN ran memory-bound, 1.3x slower per snapshot.  A grid-path tile has at
+# most as many conv2 cells as its snapshots would have on the row path.  The
+# LSTM's pass keeps no backward cache, about 7 KB per row (1.9 MB at 256
+# rows), against about 28 KB with forward_batch's caches.  256 gave the
+# fastest CNN plus LSTM total in a sweep of the row path from 32 to 4096
+# rows, and the replay predicts at it too.
 PREDICT_CHUNK = 256
 
 
@@ -269,7 +271,7 @@ class CnnPredictor(_Predictor):
             if (tile.shape[0] - shrink) * (tile.shape[1] - shrink) > cells * len(sel):
                 by_rows.append(sel)
                 continue
-            a2, _, _ = self._convs(tile[None, :, :, None])
+            a2 = self._convs(tile[None, :, :, None])[0]  # no conv cache outlives the convolutions
             for lo in range(0, len(sel), chunk):
                 part = sel[lo : lo + chunk]
                 rows = (centre[part] - cfg.n_in - top)[:, None] + np.arange(cells)
@@ -322,13 +324,19 @@ class LstmPredictor(_Predictor):
 
     def predict_dataset(self, dataset: Dataset, chunk: int = PREDICT_CHUNK) -> np.ndarray:
         """Predictions for every snapshot, in dataset order, ``chunk`` snapshots
-        per forward pass, so the working set stays cache-sized.  There is no
-        grid path: each window's recurrence starts from a zero state, so
-        overlapping snapshots share only the first layer's input projection."""
+        per pass, so the working set stays cache-sized.  Each pass is
+        ``forward_batch``'s, bit for bit, through ``nn.lstm_hidden``, which
+        keeps no backward cache.  There is no grid path: each window's
+        recurrence starts from a zero state, so overlapping snapshots share
+        only the first layer's input projection."""
+        p = self.params
         out = np.empty(dataset.z)
         for lo in range(0, dataset.z, chunk):
             hi = min(lo + chunk, dataset.z)
-            out[lo:hi], _ = self.forward_batch(dataset.matrices(slice(lo, hi)))
+            xs = _stack(dataset.matrices(slice(lo, hi))).transpose(0, 2, 1)
+            hs1 = nn.lstm_hidden(xs, p["l1_wx"], p["l1_wh"], p["l1_b"])
+            h2 = nn.lstm_hidden(hs1, p["l2_wx"], p["l2_wh"], p["l2_b"], last=True)
+            out[lo:hi] = nn.dense_forward(h2, p["head_w"], p["head_b"], "sigmoid")[0][:, 0]
         return out
 
 

@@ -17,8 +17,11 @@ input's buffer with its H and W strides repeated, in the weights' own
 weights.  The LSTM halves its sigmoid-gate columns so that one tanh per
 step gives all four gates, and writes each step's gates, cell, tanh(cell)
 and hidden state in place into time-major (T, B, ...) arrays, which are
-its cache.  The forward pass returns a cache object that the matching
-backward pass consumes.  Backward passes are analytic (no autodiff) and
+its cache.  ``lstm_hidden``, the pass for prediction, runs the same step
+loop over arrays whose steps share one buffer, so it keeps only the
+newest step and no cache, and gives the same bits by construction.  The
+forward pass returns a cache object that the matching backward pass
+consumes.  Backward passes are analytic (no autodiff) and
 are held to central finite differences by the test suite.
 
 Supported pieces: valid 2-D convolution (stride 1, no padding), fully
@@ -46,6 +49,7 @@ __all__ = [
     "dense_forward",
     "dense_backward",
     "lstm_forward",
+    "lstm_hidden",
     "lstm_backward",
     "loss_forward",
     "loss_backward",
@@ -366,37 +370,35 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def lstm_forward(
-    xs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, LstmCache]:
-    """Run a full sequence (B, T, D) from zero initial state.
-
-    i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
-    all hidden states (B, T, H), a view of the cache's ``h``, plus the BPTT
-    cache.
-    """
+def _lstm_inputs(xs, w_x, w_h, b):
+    """The checked float64 operands of one LSTM layer, plus its width H."""
     xs = _batch(xs, 3, "(B, T, D)")
     w_x = np.asarray(w_x, dtype=np.float64)
     w_h = np.asarray(w_h, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     hidden = _check_lstm_params(w_x, w_h, b)
-    batch, steps, dim = xs.shape
-    if dim != w_x.shape[0]:
-        raise ShapeMismatchError(f"input dim {dim} != weight rows {w_x.shape[0]}")
+    if xs.shape[2] != w_x.shape[0]:
+        raise ShapeMismatchError(f"input dim {xs.shape[2]} != weight rows {w_x.shape[0]}")
+    return xs, w_x, w_h, b, hidden
 
+
+def _lstm_steps(xs, w_x, w_h, b, gates, c, tanh_c, h) -> None:
+    """The recurrence that every LSTM pass runs, from zero state.
+
+    Step t writes its squashed gates, tanh(cell), cell and hidden state in
+    place into ``gates[t]``, ``tanh_c[t]``, ``c[t + 1]`` and ``h[t + 1]``,
+    time-major arrays whose ``c[0]`` and ``h[0]`` are zeros.  Any of them may
+    be a ``_one_step`` array, which keeps only the newest step.
+    """
+    batch, steps, dim = xs.shape
+    hidden = w_h.shape[0]
     # i/f/o columns halved (see the packing note above).  The input
     # projection does not depend on the recurrence: one GEMM for every
     # timestep, in time-major rows so that each step's slice is contiguous.
     scale, offset = _gate_affine(hidden)
-    zx = _matmul(xs.transpose(1, 0, 2).reshape(steps * batch, dim), w_x * scale) + b * scale[0]
+    zx = _matmul(xs.transpose(1, 0, 2).reshape(steps * batch, dim), w_x * scale)
+    zx += b * scale[0]
     w_h_half = w_h * scale
-    gates = np.empty((steps, batch, 4 * hidden))
-    c = np.zeros((steps + 1, batch, hidden))
-    tanh_c = np.empty((steps, batch, hidden))
-    h = np.zeros((steps + 1, batch, hidden))
     # Each step writes in place through per-step views of these arrays.  At
     # batch 1 every operand of an elementwise step then has the shape of its
     # output, which numpy runs without setting up a broadcast.
@@ -413,7 +415,57 @@ def lstm_forward(
         c_t += i_t * g_t
         np.tanh(c_t, out=tanh_c_t)
         np.multiply(o_t, tanh_c_t, out=h_t)
+
+
+def _one_step(steps: int, *shape: int) -> np.ndarray:
+    """A zeroed (steps, *shape) array whose steps all share one buffer, so a
+    pass that writes step by step keeps only the newest step.  Each step has
+    the layout of a step of a full array, so the same ufunc loops run."""
+    buffer = np.zeros(shape)
+    return np.ndarray((steps, *shape), np.float64, buffer, 0, (0, *buffer.strides))
+
+
+def lstm_forward(
+    xs: np.ndarray,
+    w_x: np.ndarray,
+    w_h: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, LstmCache]:
+    """Run a full sequence (B, T, D) from zero initial state.
+
+    i/f/o gates are sigmoid, candidate and cell squashing tanh.  Returns
+    all hidden states (B, T, H), a view of the cache's ``h``, plus the BPTT
+    cache.
+    """
+    xs, w_x, w_h, b, hidden = _lstm_inputs(xs, w_x, w_h, b)
+    batch, steps, _ = xs.shape
+    gates = np.empty((steps, batch, 4 * hidden))
+    c = np.zeros((steps + 1, batch, hidden))
+    tanh_c = np.empty((steps, batch, hidden))
+    h = np.zeros((steps + 1, batch, hidden))
+    _lstm_steps(xs, w_x, w_h, b, gates, c, tanh_c, h)
     return h[1:].transpose(1, 0, 2), LstmCache(xs, w_x, w_h, gates, c, tanh_c, h)
+
+
+def lstm_hidden(
+    xs: np.ndarray,
+    w_x: np.ndarray,
+    w_h: np.ndarray,
+    b: np.ndarray,
+    last: bool = False,
+) -> np.ndarray:
+    """lstm_forward's hidden states, bit for bit, without its cache: all of
+    them (B, T, H), or with ``last`` only the final one (B, H).  It keeps one
+    step's gates, cell and tanh(cell), and every step's hidden state only
+    when it returns them."""
+    xs, w_x, w_h, b, hidden = _lstm_inputs(xs, w_x, w_h, b)
+    batch, steps, _ = xs.shape
+    gates = _one_step(steps, batch, 4 * hidden)
+    c = _one_step(steps + 1, batch, hidden)
+    tanh_c = _one_step(steps, batch, hidden)
+    h = _one_step(steps + 1, batch, hidden) if last else np.zeros((steps + 1, batch, hidden))
+    _lstm_steps(xs, w_x, w_h, b, gates, c, tanh_c, h)
+    return h[-1] if last else h[1:].transpose(1, 0, 2)
 
 
 def lstm_backward(

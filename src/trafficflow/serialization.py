@@ -15,7 +15,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -137,7 +136,9 @@ def atomic_writer(path: str | Path, mode: str = "wb", **options):
     block ends and removed if it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    # a new file only, and mode 0o666 less the umask, as open gives it
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, mode, **options) as handle:
             yield handle

@@ -195,8 +195,9 @@ def run(
     node order.  The replay is deterministic; message accounting counts
     per-subscriber deliveries.  Each tick's records equal every node's
     ``step``, in node order; one ``model.predict_dataset`` after the tick
-    loop predicts the fresh windows of every tick.  ``ticks`` (default: the
-    whole series) must not be negative; ValueError otherwise.
+    loop, at the model's default chunk, predicts the fresh windows of every
+    tick.  ``ticks`` (default: the whole series) must not be negative;
+    ValueError otherwise.
 
     A row is stale while the newest tick at which its link was dropped lies
     in the window.  No check of ``receive`` could fire on a replay:
@@ -253,8 +254,7 @@ def run(
         # the pad stands in for the target columns Dataset wants; nothing reads it
         grid = np.pad(values[:, :total_ticks], ((0, 0), (0, cfg.horizon_steps)))
         windows = Dataset(Windows(grid, start, node + cfg.n_in, column), cfg, spec)
-        # one tick's windows per pass: the default chunk's LSTM caches raise peak memory
-        predictions = model.predict_dataset(windows, chunk=len(points))
+        predictions = model.predict_dataset(windows)
         for tick, k, prediction in zip(column.tolist(), node.tolist(), predictions.tolist()):
             records[tick * len(points) + k] = SimRecord(tick, ids[k], prediction)
 

@@ -77,8 +77,10 @@ class TrainConfig:
         check_field_types(self)
         if self.model not in models.KINDS:
             raise ValueError(f"unknown model kind {self.model!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if not 1 <= self.epochs <= 2**20:  # more is a run that would not end
+            raise ValueError(f"epochs must be in [1, {2**20}], got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.loss != "strict":

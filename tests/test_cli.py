@@ -225,6 +225,8 @@ SYNTH = ["synth", "--profile", "{doc}"]
 @pytest.mark.parametrize("doc,argv,message", [
     ({"epochs": "2"}, TRAIN, "TrainConfig.epochs must be of type"),
     ({"epochs": None}, TRAIN, "TrainConfig.epochs must be of type"),
+    ({"epochs": 10**30}, TRAIN, f"epochs must be in [1, 1048576], got {10**30}"),
+    ({}, [*TRAIN, "--epochs", str(10**30)], f"epochs must be in [1, 1048576], got {10**30}"),
     ({"epoch": 1}, TRAIN, "has no field 'epoch'"),
     ({"context_mode": "none"}, TRAIN, "has no field 'context_mode'"),
     ({"loss": "rmse"}, TRAIN, "has no field 'loss'"),

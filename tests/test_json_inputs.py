@@ -366,7 +366,7 @@ def test_ingest_on_a_snapshot_edit_exits_cleanly(raw_file, edit, as_flag):
 @given(edit=st.sampled_from(_edits(TRAIN)))
 def test_train_on_a_config_file_edit_exits_cleanly(edit):
     # the dataset is missing, so every run ends at the latest when train
-    # opens it: an accepted epoch count of 10**30 would otherwise train on
+    # opens it: an accepted epoch count of up to 2**20 would otherwise train on
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp), _replaced(TRAIN, *edit))
         out_dir = Path(tmp) / "out"

@@ -1,6 +1,7 @@
 """Predictor architecture, independent forward oracles, parameter files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,25 +180,49 @@ def test_predict_dataset_matches_single_predictions():
         np.testing.assert_array_equal(batch, single)
 
 
-def test_predict_dataset_is_independent_of_chunk_size():
+def _chunks_dataset():
+    """About 3.5 default chunks of snapshots, so the last chunk is partial."""
     chunk = models.PREDICT_CHUNK
     spec = core.chain_network(11, 60.0)  # three centre points with full neighbourhoods
     cfg = core.SnapshotConfig(step_minutes=30)
-    # about 3.5 default chunks, so the last one is partial
     slots = cfg.delta + cfg.horizon_steps + -(-7 * chunk // 6)
     values = np.random.default_rng(11).uniform(0, 1, size=(11, slots))
     ds = ingestion.window(make_network_series(values, spec), spec, cfg)
     assert ds.z > 3 * chunk and ds.z % chunk
+    return ds
+
+
+def test_predict_dataset_is_independent_of_chunk_size():
+    # every chunk gives forward_batch's bits over the whole stack, though
+    # the LSTM's passes keep no backward cache
+    chunk = models.PREDICT_CHUNK
+    ds = _chunks_dataset()
     sample = np.append(np.random.default_rng(12).choice(ds.z, size=20, replace=False), [chunk - 1, chunk, ds.z - 1])
     for model in (
         models.CnnPredictor.initialize(1),
         models.LstmPredictor.initialize(1),
     ):
         default = model.predict_dataset(ds)
-        for size in (1, 7, chunk, ds.z):
+        np.testing.assert_array_equal(default, model.forward_batch(ds.matrices())[0])
+        for size in (1, 7, 50, chunk, 4096, ds.z):
             np.testing.assert_array_equal(model.predict_dataset(ds, chunk=size), default)
         single = np.array([model.predict_snapshot(ds.snapshots[int(i)]) for i in sample])
         np.testing.assert_array_equal(default[sample], single)
+
+
+def test_lstm_predict_dataset_keeps_no_backward_cache():
+    # forward_batch's caches, two chunks' of them alive at once, took about
+    # 28 KB per row of a chunk; the cache-free pass takes about 7.3 KB
+    ds = _chunks_dataset()
+    model = models.LstmPredictor.initialize(1)
+    model.predict_dataset(ds)  # the gate constants are built on first use
+    tracemalloc.start()
+    try:
+        preds = model.predict_dataset(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - preds.nbytes < 10_000 * models.PREDICT_CHUNK
 
 
 @pytest.mark.parametrize("kind,calls", [

@@ -271,6 +271,24 @@ def test_lstm_gates_equal_sigmoid_of_unscaled_preactivations():
         np.testing.assert_array_equal(step.g, np.tanh(z[:, 2 * hidden : 3 * hidden]))
 
 
+@pytest.mark.parametrize("batch", [1, 31, 32, 33, 256])
+def test_lstm_hidden_gives_lstm_forward_hidden_states_bit_for_bit(batch):
+    # the cache-free pass runs lstm_forward's step loop on one-step buffers;
+    # batches each side of _MIN_ROWS take both of _matmul's paths, and the
+    # second layer reads the first's hidden states, as in the model
+    rng = np.random.default_rng(batch)
+    xs = rng.normal(size=(batch, 5, 9))
+    layer1, layer2 = ([rng.normal(scale=0.5, size=shape) for shape in ((d, 80), (20, 80), (80,))] for d in (9, 20))
+    hs1, _ = nn.lstm_forward(xs, *layer1)
+    hs2, _ = nn.lstm_forward(hs1, *layer2)
+    every = nn.lstm_hidden(xs, *layer1)
+    last = nn.lstm_hidden(every, *layer2, last=True)
+    assert every.shape == hs1.shape and last.shape == (batch, 20)
+    assert np.array_equal(every.view(np.int64), hs1.view(np.int64))
+    assert np.array_equal(last.view(np.int64), hs2[:, -1].view(np.int64))
+    assert np.array_equal(nn.lstm_hidden(xs, *layer1, last=True).view(np.int64), hs1[:, -1].view(np.int64))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lstm_bptt_gradients_match_finite_differences(seed):
     # batch 1 is the node path; one step runs no recurrent product
@@ -477,8 +495,9 @@ def test_kernels_reject_unbatched_input():
         nn.conv2d_forward(rng.normal(size=(9, 5, 1)), rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
     with pytest.raises(nn.ShapeMismatchError, match="batch"):
         nn.dense_forward(rng.normal(size=320), rng.normal(size=(320, 32)), np.zeros(32))
-    with pytest.raises(nn.ShapeMismatchError, match="batch"):
-        nn.lstm_forward(rng.normal(size=(5, 9)), rng.normal(size=(9, 80)), rng.normal(size=(20, 80)), np.zeros(80))
+    for lstm in (nn.lstm_forward, nn.lstm_hidden):
+        with pytest.raises(nn.ShapeMismatchError, match="batch"):
+            lstm(rng.normal(size=(5, 9)), rng.normal(size=(9, 80)), rng.normal(size=(20, 80)), np.zeros(80))
 
 
 def test_forward_determinism():

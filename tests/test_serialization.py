@@ -3,6 +3,8 @@ checksummed input whose header is malformed."""
 
 import hashlib
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -15,6 +17,7 @@ from trafficflow.serialization import (
     ChecksumError,
     ContainerFormatError,
     VersionMismatchError,
+    atomic_write_bytes,
     read_container,
     write_container,
 )
@@ -196,3 +199,18 @@ def test_checksummed_mutations_raise_only_documented_errors(magic, header, paylo
     assert isinstance(parsed, dict) and "arrays" not in parsed
     assert sum(a.nbytes for a in arrays.values()) <= len(payload)
 
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_gives_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    data = bytes(range(256)) * 3
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "out.bin", data)
+        atomic_write_bytes(tmp_path / "again.bin", b"old")
+        atomic_write_bytes(tmp_path / "again.bin", data)  # a rewrite takes the new file's mode
+    finally:
+        os.umask(old)
+    for name in ("out.bin", "again.bin"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+        assert (tmp_path / name).read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.bin", "out.bin"]

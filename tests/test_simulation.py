@@ -97,7 +97,7 @@ class _Padded:
     def predict(self, window):
         return self.model.predict(self._pad(window))
 
-    def predict_dataset(self, dataset, chunk):
+    def predict_dataset(self, dataset, chunk=models.PREDICT_CHUNK):
         return self.model.forward_batch(self._pad(dataset.matrices()))[0]
 
 
@@ -155,7 +155,7 @@ def test_run_gives_the_records_of_a_per_node_step_replay(kind, replay):
 
 
 def test_run_predicts_all_fresh_windows_in_one_predict_dataset_call():
-    # one tick's windows per pass; a replay with no fresh window calls no model
+    # at the default chunk; a replay with no fresh window calls no model
     spec, cfg, series = _world()
     calls = []
 
@@ -163,13 +163,13 @@ def test_run_predicts_all_fresh_windows_in_one_predict_dataset_call():
         def predict(self, window):
             raise AssertionError("run predicted a single window")
 
-        def predict_dataset(self, dataset, chunk):
+        def predict_dataset(self, dataset, chunk=models.PREDICT_CHUNK):
             calls.append((dataset.z, chunk))
             return super().predict_dataset(dataset, chunk)
 
     model = Counting(models.CnnPredictor.initialize(0))
     log = simulation.run(series, spec, cfg, model, ticks=cfg.delta + 3)
-    assert calls == [(len(log.predictions()), len(core.eligible_points(spec, cfg)))]
+    assert calls == [(len(log.predictions()), models.PREDICT_CHUNK)]
     simulation.run(series, spec, cfg, model, ticks=cfg.delta)
     assert len(calls) == 1
 

@@ -199,8 +199,12 @@ def test_train_config_refuses_a_non_finite_or_negative_lr(lr):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         training.TrainConfig(model="mlp")
-    with pytest.raises(ValueError):
-        training.TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
+        training.TrainConfig(batch_size=0)
+    assert training.TrainConfig(epochs=2**20).epochs == 2**20
+    for epochs in (0, 2**20 + 1, 10**30):  # above the bound, a run that would not end
+        with pytest.raises(ValueError, match=rf"^epochs must be in \[1, 1048576\], got {epochs}$"):
+            training.TrainConfig(epochs=epochs)
     for loss in ("huber", "rmse"):
         with pytest.raises(ValueError, match="unknown loss kind"):
             training.TrainConfig(loss=loss)
