@@ -5,14 +5,21 @@ next to them, so a run can be reproduced from its artifacts alone.  Wall
 times live in a separate ``.meta.json`` file; all other outputs are byte
 identical for identical inputs and seeds.
 
-Config precedence: built-in defaults < ``--config-file`` JSON < flags.
+Config precedence: built-in defaults < ``--config-file`` JSON < flags.  A
+train config file is a ``TrainConfig`` settings document, ``split`` nested;
+``--split-axis``, ``--train-units`` and ``--test-units`` set its fields.  Each
+echo reads back as input: ``train``'s less ``command``, ``dataset`` and ``out``,
+and ``ingest``'s ``snapshot``.  ``evaluate`` lists the ``files`` it wrote, and
+removes those of the previous run that it does not write again.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict
 from datetime import date as date_type
 from datetime import time as time_type
 from pathlib import Path
@@ -51,14 +58,6 @@ def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
     return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}", keys)
 
 
-# train settings a flag or the config file may give; a config file may give no other key
-_TRAIN_KEYS = (
-    "model", "epochs", "batch_size", "lr", "seed",
-    "split_axis", "train_units", "test_units",
-)
-_SPLITS = {"point": training.by_point, "time": training.by_time}
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config_file, ("snapshot",))
     overrides = {**json_object(file_cfg.get("snapshot", {}), "snapshot"), **_parse_overrides(args.config)}
@@ -77,7 +76,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         {
             "command": "ingest",
             "input": str(args.input),
-            "snapshot": overrides,
+            "snapshot": asdict(cfg),
             "out": str(args.out),
             "snapshots": dataset.z,
         },
@@ -106,15 +105,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    # flags override the config file; what neither gives keeps the defaults
-    # of TrainConfig and of the split's constructor
-    given = _load_config_file(args.config_file, _TRAIN_KEYS)
-    given.update({key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None})
-    axis = given.pop("split_axis", "point")
-    if axis not in tuple(_SPLITS):  # a tuple: an unhashable value is not an axis either
-        raise ValueError(f"unknown split axis {axis!r}")
-    units = {side: given.pop(f"{side}_units") for side in ("train", "test") if f"{side}_units" in given}
-    cfg = training.TrainConfig(**given, split=_SPLITS[axis](**units))
+    # flags override the config file field by field; what neither gives
+    # keeps the defaults of TrainConfig and SplitSpec
+    name = f"config file {args.config_file}"
+    doc = _load_config_file(args.config_file, training.SETTINGS)
+    doc.update({key: getattr(args, key) for key in training.SETTINGS if getattr(args, key, None) is not None})
+    sides = {"axis": args.split_axis, "train": args.train_units, "test": args.test_units}
+    sides = {side: value for side, value in sides.items() if value is not None}
+    if sides:
+        doc["split"] = {**json_object(doc.get("split", {}), f"{name}.split"), **sides}
+    cfg = from_json(training.TrainConfig, doc, name)
     dataset = ingestion.load_dataset(args.dataset)
     params, report = training.train(dataset, cfg)
     models.save_file(params, args.out)
@@ -134,7 +134,29 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# the names evaluate writes, the only ones a later evaluate removes
+_EVALUATE_FILE = re.compile(r"(daily_rmse|boxplot|day_curve|slot_[0-9]{2}:[0-9]{2})\.csv")
+
+
+def _listed_files(config: Path) -> list[str]:
+    """The ``files`` an earlier evaluate's ``config`` lists, [] without the
+    file or the key; ValueError naming ``config`` if it is not a JSON object
+    whose ``files`` is a list of strings."""
+    if not config.exists():
+        return []
+    try:
+        doc = json.loads(config.read_text(encoding="utf-8"))
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{config} is not JSON: {err}") from None
+    files = json_object(doc, str(config)).get("files", [])
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise ValueError(f"{config}: files must be a list of strings, got {files!r}")
+    return files
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    config = Path(args.out_dir) / "config.json"
+    listed = _listed_files(config)
     dataset = ingestion.load_dataset(args.dataset)
     predictors: dict[str, object] = {}
     first = models.build_predictor(models.load_file(args.model))
@@ -161,11 +183,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if args.slot and not any(by_model.values()):
             raise ValueError(f"point {report.notes['point']} has no snapshot at {label}")
     written = evaluation.write_report(report, args.out_dir)
+    names = [path.name for path in written]
+    for name in set(listed).difference(names):
+        if _EVALUATE_FILE.fullmatch(name):
+            (Path(args.out_dir) / name).unlink(missing_ok=True)
     _echo(
-        Path(args.out_dir) / "config.json",
+        config,
         {
             "command": "evaluate",
             "dataset": str(args.dataset),
+            "files": names,
             "models": sorted(predictors),
             "slots": [s.strftime("%H:%M") for s in slots],
             **report.notes,

@@ -436,7 +436,9 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """New dataset over the selected snapshots (a slice or indices), sharing the grid."""
         w = self.windows
-        return Dataset(w._replace(centre=w.centre[rows], column=w.column[rows]), self.config, self.spec)
+        centre, column = w.centre[rows], w.column[rows]
+        centre.flags.writeable = column.flags.writeable = False  # nothing else holds them: Dataset need not copy
+        return Dataset(w._replace(centre=centre, column=column), self.config, self.spec)
 
     def matrices(self, rows=slice(None)) -> np.ndarray:
         """Condition matrices (n, R, C) of the selected rows, gathered from the grid."""
@@ -715,6 +717,8 @@ def dataset_from_bytes(data: bytes) -> Dataset:
         start = datetime.fromisoformat(check_type(header.get("start"), str, "dataset header start"))
     except ValueError as err:
         raise ContainerFormatError(str(err)) from None
+    for array in arrays.values():  # private copies: read-only, Dataset need not copy them again
+        array.flags.writeable = False
     windows = Windows(arrays["grid"], start, arrays["centre"], arrays["column"])
     return Dataset(windows, cfg, spec)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ __all__ = [
     "EmptySplitError",
     "SplitSpec",
     "by_point",
-    "by_time",
     "TrainConfig",
+    "SETTINGS",
     "TrainReport",
     "split",
     "train",
@@ -36,40 +36,49 @@ class EmptySplitError(ValueError):
     """A requested split leaves the train or test side empty."""
 
 
+# each axis's default (train, test) counts; the paper splits 20 points and the next 30
+_DEFAULT_COUNTS = {"point": (20, 30), "time": (48, 12)}
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Disjoint train/test assignment along one axis, by count: the first
     ``train`` units and the next ``test`` ones.  Units are eligible centre
-    points in order (axis="point") or calendar days (axis="time")."""
+    points in order (axis="point") or calendar days (axis="time").  A count
+    left out or None takes the axis's default, 20 and 30 points or 48 and 12
+    days; a count of 0 raises EmptySplitError and one below 0 ValueError."""
 
-    axis: str
-    train: int = 20
-    test: int = 30
+    axis: str = "point"
+    train: int | None = None
+    test: int | None = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.axis not in ("point", "time"):
+        if self.axis not in _DEFAULT_COUNTS:
             raise ValueError(f"unknown split axis {self.axis!r}")
+        for side, default in zip(("train", "test"), _DEFAULT_COUNTS[self.axis]):
+            count = default if getattr(self, side) is None else getattr(self, side)
+            if count < 1:
+                raise (EmptySplitError if count == 0 else ValueError)(f"{side} count must be >= 1, got {count}")
+            object.__setattr__(self, side, count)
 
 
-def by_point(train: int = 20, test: int = 30) -> SplitSpec:
+def by_point(train: int | None = None, test: int | None = None) -> SplitSpec:
     return SplitSpec(axis="point", train=train, test=test)
-
-
-def by_time(train: int = 48, test: int = 12) -> SplitSpec:
-    return SplitSpec(axis="time", train=train, test=test)
 
 
 @dataclass
 class TrainConfig:
-    """Knobs of one training run; defaults follow the artifact conventions."""
+    """Knobs of one training run; defaults follow the artifact conventions.
+    Its ``SETTINGS``, ``split`` nested, are what a train config file gives and
+    what the model header, ``report.json`` and ``config.json`` echo."""
 
     model: str = "cnn"
     epochs: int = 30
     batch_size: int = 32
     lr: float = 0.01
     seed: int = 0
-    split: SplitSpec = field(default_factory=by_point)
+    split: SplitSpec = field(default_factory=SplitSpec)
     loss: str = "strict"  # the paper's congestion-weighted loss, the only one
     checkpoint_dir: str | Path | None = None
 
@@ -86,15 +95,9 @@ class TrainConfig:
         if self.loss != "strict":
             raise ValueError(f"unknown loss kind {self.loss!r}; only 'strict' is defined")
 
-    def echo(self, split_units: tuple[list, list]) -> dict:
-        """Every setting but ``checkpoint_dir``, the split's fields as
-        ``split_*`` keys, and the units each side resolved to."""
-        settings = asdict(self)
-        del settings["checkpoint_dir"]
-        for key, value in settings.pop("split").items():
-            settings[f"split_{key}"] = value
-        settings["train_units"], settings["test_units"] = split_units
-        return settings
+
+# every field but checkpoint_dir, which only Python callers set
+SETTINGS = tuple(f.name for f in fields(TrainConfig) if f.name != "checkpoint_dir")
 
 
 @dataclass
@@ -118,16 +121,6 @@ class TrainReport:
         return doc
 
 
-def _take(units: list, count: int, offset: int, side: str) -> list:
-    """``count`` of ``units`` from ``offset`` on."""
-    if count < 0:
-        raise ValueError(f"{side} count must be >= 0")
-    chosen = units[offset : offset + count]
-    if len(chosen) < count:
-        raise EmptySplitError(f"{side}: requested {count} units, only {len(chosen)} available past offset {offset}")
-    return chosen
-
-
 def _keys(dataset: Dataset, axis: str) -> np.ndarray:
     """Each snapshot's split key: its centre point's order index on the point
     axis, its calendar day on the time axis."""
@@ -142,14 +135,15 @@ def _labels(dataset: Dataset, axis: str) -> list:
 
 
 def split(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset]:
-    """Partition snapshots by centre point or by calendar day, disjointly."""
+    """Partition snapshots by centre point or by calendar day, disjointly;
+    EmptySplitError if the dataset has fewer units than the split takes."""
     spec = cfg.split
     keys = _keys(dataset, spec.axis)
-    distinct = list(np.unique(keys))
-    train_keys = _take(distinct, spec.train, 0, "train")
-    test_keys = _take(distinct, spec.test, spec.train, "test")
-    if not train_keys or not test_keys:
-        raise EmptySplitError("both split sides must be nonempty")
+    distinct = np.unique(keys)
+    if spec.train + spec.test > len(distinct):
+        raise EmptySplitError(f"the split takes {spec.train} train and {spec.test} test units, "
+                              f"the dataset has {len(distinct)}")
+    train_keys, test_keys = distinct[: spec.train], distinct[spec.train : spec.train + spec.test]
     train_idx, test_idx = (np.flatnonzero(np.isin(keys, side)) for side in (train_keys, test_keys))
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
@@ -173,7 +167,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[models.ModelParams, Train
     shuffle_rng = stream(cfg.seed, "shuffle")
     epoch_losses: list[float] = []
     skipped = 0
-    config_echo = cfg.echo((train_units, test_units))
+    config_echo = {key: value for key, value in asdict(cfg).items() if key in SETTINGS}
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(z)

@@ -171,7 +171,7 @@ def test_train_config_file_precedence(tmp_path, profile_path):
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
     cfg_file = tmp_path / "train.json"
-    cfg_file.write_text(json.dumps({"epochs": 2, "lr": 0.1, "train_units": 2, "test_units": 2, "model": "lstm"}))
+    cfg_file.write_text(json.dumps({"epochs": 2, "lr": 0.1, "split": {"train": 2, "test": 2}, "model": "lstm"}))
     out = tmp_path / "m.tfmodel"
     # flag --model overrides the file; file supplies the rest
     assert cli.main([
@@ -189,7 +189,7 @@ def test_train_writes_the_model_and_three_json_files_only(tmp_path, profile_path
     data = tmp_path / "data.tfds"
     cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
     cfg_file = tmp_path / "train.json"
-    cfg_file.write_text(json.dumps({"epochs": 2, "train_units": 2, "test_units": 2}))
+    cfg_file.write_text(json.dumps({"epochs": 2, "split": {"train": 2, "test": 2}}))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["train", "--dataset", str(data), "--config-file", str(cfg_file), "--out", str(out_dir / "m.tfmodel")]
@@ -229,7 +229,12 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({}, [*TRAIN, "--epochs", str(10**30)], f"epochs must be in [1, 1048576], got {10**30}"),
     ({"epoch": 1}, TRAIN, "has no field 'epoch'"),
     ({"context_mode": "none"}, TRAIN, "has no field 'context_mode'"),
-    ({"loss": "rmse"}, TRAIN, "has no field 'loss'"),
+    ({"loss": "rmse"}, TRAIN, "unknown loss kind 'rmse'; only 'strict' is defined"),
+    # the split is one nested object; its old flat keys are no fields
+    ({"split_axis": "time"}, TRAIN, "has no field 'split_axis'"),
+    ({"train_units": 2}, TRAIN, "has no field 'train_units'"),
+    ({"split": {"axis": "time", "units": 2}}, TRAIN, "split has no field 'units'"),
+    ({"split": 2}, [*TRAIN, "--train-units", "2"], "split must be a JSON object, got 2"),
     ({"epochs": 1, "checkpoint_dir": "ckpt"}, TRAIN, "has no field 'checkpoint_dir'"),
     ({**TINY_PROFILE, "dips": [{"start_slot": 10, "end_slot": 13, "depth": "0.5"}]}, SYNTH,
      "RushHourDip.depth must be of type"),
@@ -263,7 +268,7 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "network": {"points": []}}, SYNTH, "ProfileNetwork.points must be of type int, got []"),
     ({**TINY_PROFILE, "network": {"points": 12, "speed_limits": [60.0]}}, SYNTH, "network has no field 'speed_limits'"),
     ({**TINY_PROFILE, "network": {"points": 12.0}}, SYNTH, "ProfileNetwork.points must be of type int, got 12.0"),
-    ({"epochs": 1, "train_units": [4, 5]}, TRAIN, "SplitSpec.train must be of type int"),
+    ({"epochs": 1, "split": {"train": [4, 5]}}, TRAIN, "SplitSpec.train must be of type int | None, got [4, 5]"),
     # the grid is bounded before any point or condition is built
     ({**TINY_PROFILE, "network": {"points": 10**30}}, SYNTH,
      f"a grid of {10**30 * 2 * 48} cells (points x days x slots a day) exceeds {2**26}"),
@@ -282,7 +287,10 @@ SYNTH = ["synth", "--profile", "{doc}"]
     ({**TINY_PROFILE, "start": "9999-12-31T00:00:00"}, SYNTH,
      "2 days from start 9999-12-31 00:00:00 run past 9999-12-31 23:59:59.999999"),
     ({"snapshot": {"step_minutes": 10**30}}, INGEST, f"step_minutes must be in [1, 1440], got {10**30}"),
-    ({"split_axis": []}, TRAIN, "unknown split axis []"),
+    ({"split": {"axis": []}}, TRAIN, "SplitSpec.axis must be of type str, got []"),
+    ({"split": {"axis": "rows"}}, TRAIN, "unknown split axis 'rows'"),
+    ({"split": {"test": 0}}, TRAIN, "test count must be >= 1, got 0"),
+    ({}, [*TRAIN, "--train-units", "-1"], "train count must be >= 1, got -1"),
     # a snapshot geometry is bounded wherever it is read
     ({"snapshot": {"delta": 10**30}}, INGEST, f"delta must be in [1, 1048576], got {10**30}"),
     ({"snapshot": {"n_in": 10**30}}, INGEST, f"n_in must be in [0, 1048576], got {10**30}"),
@@ -441,3 +449,130 @@ def test_simulate_refuses_a_model_with_a_widened_first_dense_layer(tmp_path, pro
     err = capsys.readouterr().err
     assert err.startswith("error: manifest ") and "(322, 32)" in err and err.count("\n") == 1
     assert not (tmp_path / "sim.log").exists()
+
+
+# ---------------------------------------------------------------------------
+# every echo reads back as input
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "cnn", "--split-axis", "point", "--train-units", "2", "--test-units", "2"],
+    ["--model", "lstm", "--split-axis", "time", "--train-units", "1", "--test-units", "1"],
+])
+def test_train_config_echo_given_back_reproduces_the_run(tmp_path, profile_path, flags):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
+    out = tmp_path / "m.tfmodel"
+    argv = ["train", "--dataset", str(data), "--epochs", "1", "--lr", "0.2", "--seed", "4", "--out", str(out)]
+    assert cli.main([*argv, *flags]) == 0
+    names = ("m.tfmodel", "m.tfmodel.report.json", "m.tfmodel.config.json")
+    first = [(tmp_path / name).read_bytes() for name in names]
+    echo = json.loads(first[2])
+    assert echo["split"] == {"axis": flags[3], "train": int(flags[5]), "test": int(flags[7])}
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({k: v for k, v in echo.items() if k not in ("command", "dataset", "out")}))
+    assert cli.main(["train", "--dataset", str(data), "--config-file", str(settings), "--out", str(out)]) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first
+    # the model header and the report carry the same settings document
+    assert models.load_file(out).config == json.loads(first[1])["config"] == json.loads(settings.read_text())
+
+
+def test_ingest_config_echo_given_back_reproduces_the_run(tmp_path, profile_path):
+    job = ingestion.load_profile(profile_path)
+    series = ingestion.synth(job.profile, job.spec, job.days, 5, cfg=job.cfg, start=job.start)
+    stamps = [job.start + timedelta(minutes=job.cfg.step_minutes * i) for i in range(len(series[0]))]
+    raw_path = tmp_path / "raw.csv"
+    ingestion.write_raw_file(raw_path, [ingestion.RawSeries(s.point, tuple(zip(stamps, s.values * 60)), 60.0)
+                                        for s in series])
+    out = tmp_path / "data.tfds"
+    assert cli.main(["ingest", "--input", str(raw_path), "--config", "step_minutes=30", "delta=3",
+                     "--out", str(out)]) == 0
+    first = out.read_bytes(), (tmp_path / "data.tfds.config.json").read_bytes()
+    echo = json.loads(first[1])
+    # the resolved geometry, not only the overrides that were given
+    assert echo["snapshot"] == {"delta": 3, "n_in": 4, "m_out": 4, "step_minutes": 30, "horizon_steps": 1}
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"snapshot": echo["snapshot"]}))
+    assert cli.main(["ingest", "--input", str(raw_path), "--config-file", str(settings), "--out", str(out)]) == 0
+    assert (out.read_bytes(), (tmp_path / "data.tfds.config.json").read_bytes()) == first
+
+
+@pytest.mark.parametrize("doc,flags,message", [
+    # a split flag alone takes its axis's default counts, not another axis's
+    ({}, ["--split-axis", "time"], "the split takes 48 train and 12 test units, the dataset has 2"),
+    ({}, [], "the split takes 20 train and 30 test units, the dataset has 4"),
+    # flags override the file's split field by field
+    ({"split": {"axis": "point", "train": 3}}, ["--split-axis", "time"],
+     "the split takes 3 train and 12 test units, the dataset has 2"),
+    ({"split": {"axis": "time", "train": 1, "test": None}}, ["--train-units", "2"],
+     "the split takes 2 train and 12 test units, the dataset has 2"),
+])
+def test_split_flags_and_file_resolve_field_by_field(tmp_path, profile_path, capsys, doc, flags, message):
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "3", "--out", str(data)])
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["train", "--dataset", str(data), "--config-file", str(settings), *flags, "--out", str(tmp_path / "m")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# evaluate removes the files a previous evaluate wrote and it does not
+
+
+def _evaluate_argv(tmp_path, profile_path) -> list[str]:
+    data = tmp_path / "data.tfds"
+    cli.main(["synth", "--profile", str(profile_path), "--seed", "5", "--out", str(data)])
+    model = tmp_path / "m.tfmodel"
+    models.save_file(models.CnnPredictor.initialize(0).to_params(), model)
+    return ["evaluate", "--model", str(model), "--dataset", str(data), "--out-dir", str(tmp_path / "e")]
+
+
+def test_evaluate_removes_the_previous_runs_stale_files(tmp_path, profile_path):
+    argv = _evaluate_argv(tmp_path, profile_path)
+    out_dir = tmp_path / "e"
+    assert cli.main([*argv, "--slot", "07:30", "--slot", "12:00"]) == 0
+    assert json.loads((out_dir / "config.json").read_text())["files"] == [
+        "daily_rmse.csv", "boxplot.csv", "day_curve.csv", "slot_07:30.csv", "slot_12:00.csv",
+    ]
+    assert cli.main([*argv, "--slot", "08:00"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "boxplot.csv", "config.json", "daily_rmse.csv", "day_curve.csv", "slot_08:00.csv",
+    ]
+    assert json.loads((out_dir / "config.json").read_text())["files"][-1] == "slot_08:00.csv"
+
+
+def test_evaluate_removes_only_names_it_writes(tmp_path, profile_path):
+    argv = _evaluate_argv(tmp_path, profile_path)
+    out_dir = tmp_path / "e"
+    out_dir.mkdir()
+    kept = [tmp_path / "outside.txt", out_dir / "notes.txt", out_dir / "slot_09:00.csv"]
+    for path in kept:
+        path.write_text("keep\n")
+    (out_dir / "config.json").write_text(json.dumps({"files": ["../outside.txt", "notes.txt", "slot_9:00.csv"]}))
+    assert cli.main(argv) == 0
+    assert all(path.read_text() == "keep\n" for path in kept)
+    # a config.json without a files list removes nothing
+    (out_dir / "config.json").write_text(json.dumps({"command": "evaluate"}))
+    assert cli.main([*argv, "--slot", "12:00"]) == 0
+    assert (out_dir / "slot_07:30.csv").exists() and (out_dir / "slot_09:00.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1]", "config.json must be a JSON object, got [1]"),
+    ('{"files": "slot_07:30.csv"}', "config.json: files must be a list of strings, got 'slot_07:30.csv'"),
+    ('{"files": [1]}', "config.json: files must be a list of strings, got [1]"),
+    ("{", "config.json is not JSON: "),
+])
+def test_evaluate_refuses_a_previous_config_it_cannot_read(tmp_path, profile_path, capsys, text, message):
+    argv = _evaluate_argv(tmp_path, profile_path)
+    out_dir = tmp_path / "e"
+    out_dir.mkdir()
+    (out_dir / "config.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir / message}") and err.count("\n") == 1
+    assert [p.name for p in out_dir.iterdir()] == ["config.json"]

@@ -764,6 +764,28 @@ def test_dataset_save_is_deterministic(tmp_path):
     assert ingestion.dataset_to_bytes(ds) == ingestion.dataset_to_bytes(_build_dataset())
 
 
+def test_a_dataset_from_fresh_arrays_copies_none_of_them(monkeypatch):
+    # a loaded file's arrays and a subset's index arrays belong to the new
+    # dataset alone, so it holds them read-only as they are
+    blob = ingestion.dataset_to_bytes(_build_dataset())
+    copied = []
+
+    def read_only(array):
+        held = core.read_only(array)
+        if held is not array:
+            copied.append(array.shape)
+        return held
+
+    monkeypatch.setattr(ingestion, "read_only", read_only)
+    loaded = ingestion.dataset_from_bytes(blob)
+    subsets = [loaded.subset(rows) for rows in (np.arange(0, loaded.z, 3), [0, 2], slice(1, 9))]
+    assert copied == []
+    for dataset in (loaded, *subsets):
+        grid, _, centre, column = dataset.windows
+        assert not (grid.flags.writeable or centre.flags.writeable or column.flags.writeable)
+    assert np.array_equal(subsets[1].windows.centre, loaded.windows.centre[[0, 2]])
+
+
 def test_dataset_truncated_fails_checksum():
     blob = ingestion.dataset_to_bytes(_build_dataset())
     with pytest.raises(ChecksumError):

@@ -39,7 +39,7 @@ PROFILE = {
 SNAPSHOT = {"snapshot": {"delta": 4, "n_in": 4, "m_out": 4, "step_minutes": 30, "horizon_steps": 1}}
 TRAIN = {
     "model": "cnn", "epochs": 1, "batch_size": 32, "lr": 0.1, "seed": 1,
-    "split_axis": "point", "train_units": 2, "test_units": 2,
+    "loss": "strict", "split": {"axis": "point", "train": 2, "test": 2},
 }
 
 
@@ -225,9 +225,9 @@ def test_profile_edit_loads_or_raises_a_value_error(edit):
 def _settings_loaded(command, argv: list[str], missing: Path) -> bool:
     """Whether ``command`` accepted its settings: it got as far as opening
     the data file ``missing``, which does not exist, rather than raising a
-    ValueError."""
+    ValueError (a split count of 0 raises its subclass EmptySplitError)."""
     args = cli.build_parser().parse_args([*argv, "--out", str(missing.parent / "out")])
-    error = _outcome(lambda: command(args), (ValueError, FileNotFoundError))
+    error = _outcome(lambda: command(args), (ValueError, training.EmptySplitError, FileNotFoundError))
     assert not isinstance(error, FileNotFoundError) or error.filename == str(missing)
     return isinstance(error, FileNotFoundError)
 

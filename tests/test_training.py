@@ -53,7 +53,8 @@ def test_by_time_split_48_12():
     cfg = core.SnapshotConfig(delta=1, n_in=1, m_out=1, step_minutes=240, horizon_steps=1)
     values = np.random.default_rng(1).uniform(0, 1, size=(5, 60 * 6))
     ds = ingestion.window(make_network_series(values, spec, step_minutes=240), spec, cfg)
-    cfg_train = training.TrainConfig(split=training.by_time(48, 12))
+    cfg_train = training.TrainConfig(split=training.SplitSpec(axis="time"))
+    assert (cfg_train.split.train, cfg_train.split.test) == (48, 12)
     train_ds, test_ds = training.split(ds, cfg_train)
     train_days = {s.timestamp.date() for s in train_ds.snapshots}
     test_days = {s.timestamp.date() for s in test_ds.snapshots}
@@ -62,14 +63,24 @@ def test_by_time_split_48_12():
 
 
 def test_empty_split_rejected():
-    ds = _synthetic_dataset()  # 4 eligible points
-    with pytest.raises(training.EmptySplitError, match="^both split sides must be nonempty$"):
-        training.split(ds, training.TrainConfig(split=training.by_point(4, 0)))
-    with pytest.raises(training.EmptySplitError, match="^test: requested 1 units, only 0 available past offset 4$"):
-        training.split(ds, training.TrainConfig(split=training.by_point(4, 1)))
-    with pytest.raises(ValueError, match="^train count must be >= 0$") as err:
-        training.split(ds, training.TrainConfig(split=training.by_point(-1, 2)))
+    # a count below 1 is refused when the split is built, one past the data
+    # when it is applied
+    with pytest.raises(training.EmptySplitError, match="^test count must be >= 1, got 0$"):
+        training.by_point(4, 0)
+    with pytest.raises(ValueError, match="^train count must be >= 1, got -1$") as err:
+        training.by_point(-1, 2)
     assert type(err.value) is ValueError
+    ds = _synthetic_dataset()  # 4 eligible points
+    message = "^the split takes 4 train and 1 test units, the dataset has 4$"
+    with pytest.raises(training.EmptySplitError, match=message):
+        training.split(ds, training.TrainConfig(split=training.by_point(4, 1)))
+
+
+def test_split_counts_default_per_axis():
+    assert training.SplitSpec() == training.by_point() == training.SplitSpec("point", 20, 30)
+    assert training.SplitSpec(axis="time", test=None) == training.SplitSpec("time", 48, 12)
+    assert training.SplitSpec(axis="time", train=3) == training.SplitSpec("time", 3, 12)
+    assert training.TrainConfig().split == training.SplitSpec("point", 20, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +155,9 @@ def test_report_provenance_is_disjoint_and_complete(tmp_path):
     assert not set(report.train_units) & set(report.test_units)
     assert report.train_units == [4, 5] and report.test_units == [6, 7]
     assert report.train_size > 0 and report.test_size > 0
-    assert report.config["train_units"] == report.train_units
+    # the config echo is the settings document; the units appear once, resolved
+    assert report.config == {"model": "cnn", "epochs": 1, "batch_size": 32, "lr": 0.1, "seed": 0, "loss": "strict",
+                             "split": {"axis": "point", "train": 2, "test": 2}}
     assert [p.name for p in tmp_path.iterdir()] == ["epoch_000.tfmodel"]
 
 
@@ -214,8 +227,8 @@ def test_train_config_validation():
                 {"model": ["cnn"]}, {"loss": 0}, {"checkpoint_dir": 5}):
         with pytest.raises(ValueError, match="must be"):
             training.TrainConfig(**bad)
-    for bad in (None, (4, 5), [4], 4.0, True):  # a split side is a count, never a list of units
-        with pytest.raises(ValueError, match="SplitSpec.train must be of type int"):
+    for bad in ((4, 5), [4], 4.0, True):  # a split side is a count, never a list of units
+        with pytest.raises(ValueError, match=r"SplitSpec.train must be of type int \| None"):
             training.by_point(bad)
 
 
