@@ -81,12 +81,17 @@ def _steps(profile: dict) -> list[tuple[str, list[str]]]:
     ]
 
 
-def run_tree(tree: Path, work: Path, profile: dict) -> None:
-    """Run every step for ``tree`` in ``work``; each step's printed lines go
-    to ``<step>.out``.  Raises RuntimeError naming the step that fails."""
+def write_inputs(work: Path, profile: dict) -> None:
+    """Make ``work`` and write the two files the steps read."""
     work.mkdir(parents=True)
     (work / "profile.json").write_text(json.dumps(profile), encoding="utf-8")
     (work / "ingest.json").write_text(json.dumps({"snapshot": profile.get("snapshot", {})}), encoding="utf-8")
+
+
+def run_tree(tree: Path, work: Path, profile: dict) -> None:
+    """Run every step for ``tree`` in ``work``; each step's printed lines go
+    to ``<step>.out``.  Raises RuntimeError naming the step that fails."""
+    write_inputs(work, profile)
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     for name, argv in _steps(profile):

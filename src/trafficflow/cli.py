@@ -25,12 +25,12 @@ from datetime import time as time_type
 from pathlib import Path
 
 from . import __version__, evaluation, ingestion, models, simulation, training
-from .core import SnapshotConfig, from_json, json_object
+from .core import SnapshotConfig, from_json, json_object, read_json_object
 from .nn import NonFiniteGradientError
 from .serialization import atomic_write_text
 
-# every documented data error subclasses one of these
-_DATA_ERRORS = (ValueError, KeyError, FileNotFoundError, NonFiniteGradientError)
+# each documented data error, and a path that cannot be read or written, subclasses one of these
+_DATA_ERRORS = (ValueError, KeyError, OSError, NonFiniteGradientError)
 
 
 def _echo(path: Path, payload: dict) -> None:
@@ -53,9 +53,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
 def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
     """The JSON object in ``path``, {} without one; ValueError names the first
     key that is not one of ``keys``."""
-    if not path:
-        return {}
-    return json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config file {path}", keys)
+    return read_json_object(path, f"config file {path}", keys) if path else {}
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -144,11 +142,7 @@ def _listed_files(config: Path) -> list[str]:
     whose ``files`` is a list of strings."""
     if not config.exists():
         return []
-    try:
-        doc = json.loads(config.read_text(encoding="utf-8"))
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{config} is not JSON: {err}") from None
-    files = json_object(doc, str(config)).get("files", [])
+    files = read_json_object(config, str(config)).get("files", [])
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise ValueError(f"{config}: files must be a list of strings, got {files!r}")
     return files

@@ -13,10 +13,12 @@ threads.
 
 from __future__ import annotations
 
+import json
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime
 from functools import cache
+from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -32,8 +34,10 @@ __all__ = [
     "check_type",
     "check_field_types",
     "json_object",
+    "read_json_object",
     "from_json",
     "read_only",
+    "frozen",
     "chain_network",
     "neighbor_rows",
     "eligible_points",
@@ -98,6 +102,16 @@ def json_object(doc, name: str, keys=None) -> dict:
     if unknown:
         raise ValueError(f"{name} has no field {unknown[0]!r}")
     return doc
+
+
+def read_json_object(path: str | Path, name: str, keys=None) -> dict:
+    """The JSON object in the file at ``path``, checked by ``json_object``;
+    ValueError naming ``name`` if the file is not UTF-8 JSON."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{name} is not JSON: {err}") from None
+    return json_object(doc, name, keys)
 
 
 def from_json(kind, doc, name: str):
@@ -244,6 +258,12 @@ def read_only(array) -> np.ndarray:
     if array.flags.writeable:
         array = array.copy()
         array.flags.writeable = False
+    return array
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, read-only: a fresh array, which ``read_only`` need not copy."""
+    array.flags.writeable = False
     return array
 
 

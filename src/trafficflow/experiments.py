@@ -59,7 +59,6 @@ class Generalization:
     dataset: ingestion.Dataset
     test_ds: ingestion.Dataset
     params: dict[str, models.ModelParams]
-    predictors: dict[str, object]  # persistence first, then the trained models
     reports: dict[str, training.TrainReport]
     evaluation: evaluation.EvalReport
     contrasts: dict[str, PersistenceContrast]
@@ -96,7 +95,6 @@ def generalization(data_seed: int = 42, train_seed: int = 123, lr: float = 0.3, 
         dataset=dataset,
         test_ds=test_ds,
         params=params,
-        predictors=predictors,
         reports={kind: train_report for kind, (_, train_report) in results.items()},
         evaluation=report,
         contrasts={kind: persistence_contrast(report.records, kind) for kind in configs},

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -45,7 +44,9 @@ from .core import (
     check_field_types,
     check_type,
     from_json,
+    frozen,
     json_object,
+    read_json_object,
     read_only,
 )
 from .rng import stream
@@ -269,8 +270,7 @@ def _parse_stream(handle: TextIO) -> tuple[list[tuple[str, int, float]], list[Ra
         if repeats.size:
             i = repeats[0]
             raise FormatError(lines[by_time[i]], f"duplicate timestamp {times[i].item()} for {det_id!r}")
-        samples.flags.writeable = False
-        series.append(RawSeries(point=PointId(det_id, order), samples=samples, speed_limit=limit))
+        series.append(RawSeries(point=PointId(det_id, order), samples=frozen(samples), speed_limit=limit))
     return entries, series
 
 
@@ -347,7 +347,7 @@ def clean(
     conditions = np.minimum(1.0, samples["speed"] / series.speed_limit)
     # the first and last slots hold samples, so every gap is interior; at a
     # slot that holds a sample, np.interp returns that sample's condition
-    values = np.interp(np.arange(int(n_steps) + 1), offset, conditions)
+    values = frozen(np.interp(np.arange(int(n_steps) + 1), offset, conditions))
     return CleanSeries(point=series.point, values=values, start=start, step_minutes=cfg.step_minutes)
 
 
@@ -436,9 +436,7 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """New dataset over the selected snapshots (a slice or indices), sharing the grid."""
         w = self.windows
-        centre, column = w.centre[rows], w.column[rows]
-        centre.flags.writeable = column.flags.writeable = False  # nothing else holds them: Dataset need not copy
-        return Dataset(w._replace(centre=centre, column=column), self.config, self.spec)
+        return Dataset(w._replace(centre=frozen(w.centre[rows]), column=frozen(w.column[rows])), self.config, self.spec)
 
     def matrices(self, rows=slice(None)) -> np.ndarray:
         """Condition matrices (n, R, C) of the selected rows, gathered from the grid."""
@@ -527,10 +525,10 @@ class Snapshots(Sequence):
 def aligned_grid(
     clean_series: Sequence[CleanSeries], spec: NetworkSpec, step_minutes: int
 ) -> tuple[np.ndarray, datetime]:
-    """The (P, T) condition grid of one series per network point, in network
-    order, and the time of its column 0.  Raises MisalignedSeriesError unless
-    the network has a point and the series cover every point once and share
-    one start, length and step."""
+    """The read-only (P, T) condition grid of one series per network point,
+    in network order, and the time of its column 0.  Raises
+    MisalignedSeriesError unless the network has a point and the series
+    cover every point once and share one start, length and step."""
     by_order = {s.point.order_index: s for s in clean_series}
     if len(by_order) != len(clean_series):
         raise MisalignedSeriesError("duplicate series for one point")
@@ -547,7 +545,7 @@ def aligned_grid(
     for s in ordered:
         if s.start != first.start or len(s) != len(first) or s.step_minutes != step_minutes:
             raise MisalignedSeriesError(f"{s.point.id}: series grid differs")
-    return np.stack([s.values for s in ordered]), first.start
+    return frozen(np.stack([s.values for s in ordered])), first.start
 
 
 def window(clean_series: Sequence[CleanSeries], spec: NetworkSpec, cfg: SnapshotConfig) -> Dataset:
@@ -561,8 +559,8 @@ def window(clean_series: Sequence[CleanSeries], spec: NetworkSpec, cfg: Snapshot
     grid, start = aligned_grid(clean_series, spec, cfg.step_minutes)
     centres = np.arange(cfg.n_in, len(spec.points) - cfg.m_out)
     columns = np.arange(cfg.delta, grid.shape[1] - cfg.horizon_steps)
-    centre = np.repeat(centres, columns.size)
-    column = np.tile(columns, centres.size)
+    centre = frozen(np.repeat(centres, columns.size))
+    column = frozen(np.tile(columns, centres.size))
     return Dataset(Windows(grid, start, centre, column), cfg, spec)
 
 
@@ -669,7 +667,7 @@ def synth(
     if profile.noise_std > 0:
         rng = stream(seed, "synth")
         values = values + rng.normal(0.0, profile.noise_std, size=values.shape)
-    values = np.clip(values, 0.0, 1.0)
+    values = frozen(np.clip(values, 0.0, 1.0))  # each series holds a view of its row
     return [
         CleanSeries(point=p, values=values[k], start=start, step_minutes=cfg.step_minutes)
         for k, p in enumerate(spec.points)
@@ -717,9 +715,8 @@ def dataset_from_bytes(data: bytes) -> Dataset:
         start = datetime.fromisoformat(check_type(header.get("start"), str, "dataset header start"))
     except ValueError as err:
         raise ContainerFormatError(str(err)) from None
-    for array in arrays.values():  # private copies: read-only, Dataset need not copy them again
-        array.flags.writeable = False
-    windows = Windows(arrays["grid"], start, arrays["centre"], arrays["column"])
+    # read_container's arrays are private copies, which Dataset need not copy again
+    windows = Windows(frozen(arrays["grid"]), start, frozen(arrays["centre"]), frozen(arrays["column"]))
     return Dataset(windows, cfg, spec)
 
 
@@ -778,7 +775,7 @@ def load_profile(path: str | Path) -> SynthJob:
     builds anything, it refuses, naming the fields, a size over
     ``MAX_GRID_CELLS``: the grid, the dip row's lead or a dip's slots.
     """
-    doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"profile {path}")
+    doc = read_json_object(path, f"profile {path}")
     cfg = from_json(SnapshotConfig, doc.get("snapshot", {}), "snapshot")
     net = from_json(ProfileNetwork, doc.get("network"), "network")
     if "days" not in doc:

@@ -56,16 +56,16 @@ _HIDDEN_DENSE = 32
 _LSTM_HIDDEN = 20
 
 # About how many snapshots one predict_dataset pass takes: ``chunk`` rows per
-# LSTM pass and per pass of the CNN's row path, and ``chunk // centre_rows``
-# grid columns per tile of the CNN's grid path, about ``chunk`` snapshots of
-# a full dataset.  The working set must stay cache-sized: at 256 rows conv2's
-# im2col operand is 5.9 MB on the row path, at 4096 rows it is 94 MB and the
-# CNN ran memory-bound, 1.3x slower per snapshot.  A grid-path tile has at
-# most as many conv2 cells as its snapshots would have on the row path.  The
-# LSTM's pass keeps no backward cache, about 7 KB per row (1.9 MB at 256
-# rows), against about 28 KB with forward_batch's caches.  256 gave the
-# fastest CNN plus LSTM total in a sweep of the row path from 32 to 4096
-# rows, and the replay predicts at it too.
+# LSTM pass; for the CNN, ``chunk // centre_rows`` grid columns per tile, about
+# ``chunk`` snapshots of a full dataset, and ``chunk`` snapshots per pass of
+# its dense layers.  The working set must stay cache-sized: at 4096 rows
+# conv2's im2col operand was 94 MB, against 5.9 MB at 256, and the CNN ran
+# memory-bound, 1.3x slower per snapshot.  A tile has at most as many conv2
+# cells as ``chunk`` snapshots have on their own, 5 each, however few of its
+# block's snapshots a subset holds.  The LSTM's pass keeps no backward cache,
+# about 7 KB per row (1.9 MB at 256 rows), against about 28 KB with
+# forward_batch's caches.  256 gave the fastest CNN plus LSTM total in a sweep
+# from 32 to 4096 rows, and the replay predicts at it too.
 PREDICT_CHUNK = 256
 
 
@@ -245,13 +245,12 @@ class CnnPredictor(_Predictor):
         the condition grid share conv cells: up to 5 snapshots read each conv2
         cell.  The snapshots go in blocks of ``max(1, chunk // centre_rows)``
         grid columns, where ``centre_rows`` is the span of their centre rows,
-        so a full block holds about ``chunk`` snapshots.  A block takes the
-        grid path when its tile (every grid cell its snapshots read) has at
-        most as many conv2 cells as its snapshots have between them, 5 each:
-        both convolutions run once over the tile, and each snapshot's 5x1x64
-        conv2 cells are gathered for fc1 and fc2.  Any other block, as in a
-        sparse or scattered subset, goes through ``forward_batch`` with the
-        other such blocks' snapshots, ``chunk`` per pass.
+        so a block of a full dataset holds about ``chunk`` snapshots.  Both
+        convolutions run once over each block's tile, every grid cell its
+        snapshots read, and each snapshot's 5x1x64 conv2 cells are gathered
+        for fc1 and fc2, ``chunk`` snapshots per pass.  Each product row's
+        bits depend on that row alone (see ``nn._matmul``), so every
+        prediction is ``forward_batch``'s, bit for bit.
         """
         cfg, (grid, _, centre, column) = dataset.config, dataset.windows
         if (cfg.rows, cfg.cols) != (SNAP_ROWS, SNAP_COLS):
@@ -259,28 +258,19 @@ class CnnPredictor(_Predictor):
         out = np.empty(dataset.z)
         if not dataset.z:
             return out
-        shrink = 2 * (_FILTER - 1)  # what the two convolutions take off each axis
-        cells = SNAP_ROWS - shrink  # conv2 cells per snapshot, in one column
+        cells = SNAP_ROWS - 2 * (_FILTER - 1)  # conv2 cells per snapshot, in one column
         width = max(1, chunk // (int(centre.max()) - int(centre.min()) + 1))
         block = (column - column.min()) // width
         order = np.argsort(block, kind="stable")
-        by_rows = []
         for sel in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
             top, left = centre[sel].min() - cfg.n_in, column[sel].min() - cfg.delta
             tile = grid[top : centre[sel].max() + cfg.m_out + 1, left : column[sel].max() + 1]
-            if (tile.shape[0] - shrink) * (tile.shape[1] - shrink) > cells * len(sel):
-                by_rows.append(sel)
-                continue
             a2 = self._convs(tile[None, :, :, None])[0]  # no conv cache outlives the convolutions
             for lo in range(0, len(sel), chunk):
                 part = sel[lo : lo + chunk]
                 rows = (centre[part] - cfg.n_in - top)[:, None] + np.arange(cells)
                 flat = a2[0, rows, (column[part] - cfg.delta - left)[:, None]].reshape(len(part), -1)
                 out[part] = self._dense(flat)[0]
-        rest = np.concatenate(by_rows) if by_rows else order[:0]
-        for lo in range(0, len(rest), chunk):
-            part = rest[lo : lo + chunk]
-            out[part], _ = self.forward_batch(dataset.matrices(part))
         return out
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import NetworkSpec, PointId, SnapshotConfig, eligible_points, neighbor_rows
+from .core import NetworkSpec, PointId, SnapshotConfig, eligible_points, frozen, neighbor_rows
 from .ingestion import CleanSeries, Dataset, Windows, aligned_grid
 
 __all__ = [
@@ -252,8 +252,8 @@ def run(
     column, node = np.nonzero(fresh)
     if column.size:
         # the pad stands in for the target columns Dataset wants; nothing reads it
-        grid = np.pad(values[:, :total_ticks], ((0, 0), (0, cfg.horizon_steps)))
-        windows = Dataset(Windows(grid, start, node + cfg.n_in, column), cfg, spec)
+        grid = frozen(np.pad(values[:, :total_ticks], ((0, 0), (0, cfg.horizon_steps))))
+        windows = Dataset(Windows(grid, start, frozen(node + cfg.n_in), frozen(column)), cfg, spec)
         predictions = model.predict_dataset(windows)
         for tick, k, prediction in zip(column.tolist(), node.tolist(), predictions.tolist()):
             records[tick * len(points) + k] = SimRecord(tick, ids[k], prediction)

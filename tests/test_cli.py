@@ -54,6 +54,36 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b'{"days": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+])
+@pytest.mark.parametrize("argv,name", [
+    (["train", "--dataset", "{missing}", "--config-file", "{path}"], "config file"),
+    (["ingest", "--input", "{missing}", "--config-file", "{path}"], "config file"),
+    (["synth", "--profile", "{path}"], "profile"),
+])
+def test_a_json_input_that_does_not_parse_is_named(tmp_path, capsys, argv, name, content, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = [arg.format(path=path, missing=tmp_path / "missing") for arg in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {name} {path} is not JSON: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dataset", "{dir}", "--model", "{dir}/m.tfmodel", "--out", "{dir}/sim.log"],
+    ["train", "--dataset", "{dir}/missing", "--config-file", "{dir}", "--out", "{dir}/m.tfmodel"],
+    ["synth", "--profile", "{dir}", "--out", "{dir}/d.tfds"],
+    ["synth", "--profile", "{profile}", "--out", "{profile}/d.tfds"],
+])
+def test_a_path_that_cannot_be_read_or_written_exits_1_with_one_error_line(tmp_path, profile_path, capsys, argv):
+    # a directory where a file is read, or a file where a directory is made
+    assert cli.main([arg.format(dir=tmp_path, profile=profile_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 def test_full_pipeline(tmp_path, profile_path):
     data = tmp_path / "data.tfds"
     model = tmp_path / "model.tfmodel"

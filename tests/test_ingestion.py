@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trafficflow import core, ingestion
+from trafficflow import core, ingestion, models, simulation
 from trafficflow.serialization import (
     ChecksumError,
     ContainerFormatError,
@@ -765,9 +765,12 @@ def test_dataset_save_is_deterministic(tmp_path):
 
 
 def test_a_dataset_from_fresh_arrays_copies_none_of_them(monkeypatch):
-    # a loaded file's arrays and a subset's index arrays belong to the new
-    # dataset alone, so it holds them read-only as they are
+    # a loaded file's arrays, a subset's index arrays and the arrays that
+    # window, synth, clean and the replay make belong to what holds them
+    # alone, so it holds them read-only as they are
     blob = ingestion.dataset_to_bytes(_build_dataset())
+    raw = _raw(P0, [(START + timedelta(minutes=30 * i), speed) for i, speed in ((0, 50.0), (1, 60.0), (4, 20.0))])
+    model = models.CnnPredictor.initialize(0)
     copied = []
 
     def read_only(array):
@@ -779,11 +782,16 @@ def test_a_dataset_from_fresh_arrays_copies_none_of_them(monkeypatch):
     monkeypatch.setattr(ingestion, "read_only", read_only)
     loaded = ingestion.dataset_from_bytes(blob)
     subsets = [loaded.subset(rows) for rows in (np.arange(0, loaded.z, 3), [0, 2], slice(1, 9))]
+    windowed = _build_dataset()  # synth, then window
+    cleaned = ingestion.clean(raw, windowed.config)
+    log = simulation.run(windowed.series, windowed.spec, windowed.config, model, ticks=12)
     assert copied == []
-    for dataset in (loaded, *subsets):
+    for dataset in (loaded, *subsets, windowed):
         grid, _, centre, column = dataset.windows
         assert not (grid.flags.writeable or centre.flags.writeable or column.flags.writeable)
     assert np.array_equal(subsets[1].windows.centre, loaded.windows.centre[[0, 2]])
+    assert len(cleaned) == 5 and cleaned.values[1] == 0.6
+    assert len(log.predictions()) == 4 * 8
 
 
 def test_dataset_truncated_fails_checksum():

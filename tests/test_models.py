@@ -210,18 +210,23 @@ def test_predict_dataset_is_independent_of_chunk_size():
         np.testing.assert_array_equal(default[sample], single)
 
 
+def _traced_peak(fn):
+    """The peak of the memory that tracemalloc sees ``fn()`` allocate, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def test_lstm_predict_dataset_keeps_no_backward_cache():
     # forward_batch's caches, two chunks' of them alive at once, took about
     # 28 KB per row of a chunk; the cache-free pass takes about 7.3 KB
     ds = _chunks_dataset()
     model = models.LstmPredictor.initialize(1)
     model.predict_dataset(ds)  # the gate constants are built on first use
-    tracemalloc.start()
-    try:
-        preds = model.predict_dataset(ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, preds = _traced_peak(lambda: model.predict_dataset(ds))
     assert peak - preds.nbytes < 10_000 * models.PREDICT_CHUNK
 
 
@@ -271,7 +276,7 @@ def test_forward_batch_gives_every_matrix_its_own_predict_bit_for_bit(kind, batc
 
 
 # ---------------------------------------------------------------------------
-# the CNN's grid path against the per-snapshot path
+# the CNN's tiled pass against the per-snapshot path
 
 
 _CNN = models.CnnPredictor.initialize(13)
@@ -327,37 +332,51 @@ def test_batch_one_predict_matches_predict_dataset(dataset, kind, seed):
     np.testing.assert_array_equal(single, model.predict_dataset(dataset)[rows])
 
 
-def test_cnn_predict_dataset_takes_each_side_of_the_block_rule():
+def _scattered_subset():
+    """A full 14-point, 80-slot dataset, and its subset of one snapshot per
+    column on the first and the last centre row in turn: every block's tile
+    spans all six centre rows, twice the conv2 cells its snapshots have."""
     spec = core.chain_network(14, 60.0)  # centres 4 .. 9
     cfg = core.SnapshotConfig(step_minutes=30)
     values = np.random.default_rng(14).uniform(0, 1, size=(14, 80))
     ds = ingestion.window(make_network_series(values, spec), spec, cfg)
-    model = models.CnnPredictor.initialize(2)
-    sizes = []  # the size of every batch the row path runs
-    original = model.forward_batch
-
-    def counting(matrices):
-        sizes.append(len(matrices))
-        return original(matrices)
-
-    model.forward_batch = counting
-
-    # a full dataset: every block's tile has fewer than 5 conv2 cells per snapshot
-    preds = model.predict_dataset(ds)
-    assert sizes == []
-    np.testing.assert_array_equal(preds, _row_path(model, ds))
-
-    # one snapshot per column, on the first and the last centre row in turn:
-    # every tile spans all six centre rows, twice the conv2 cells the row path needs
     w = ds.windows
     scattered = ds.subset(np.flatnonzero(w.centre == np.where(w.column % 2, 4, 9)))
     assert set(scattered.windows.centre) == {4, 9} and len(set(scattered.windows.column)) == scattered.z
-    sizes.clear()
-    preds = model.predict_dataset(scattered, chunk=32)
-    assert sum(sizes) == scattered.z and max(sizes) <= 32
-    model.forward_batch = original
-    np.testing.assert_array_equal(preds, _row_path(model, scattered))
-    _assert_fresh(preds, model, scattered)
+    return ds, scattered
+
+
+def test_cnn_predict_dataset_calls_no_forward_batch(monkeypatch):
+    # every block runs both convolutions over its tile, a scattered subset's too
+    model = models.CnnPredictor.initialize(2)
+    calls = []
+
+    def counting(matrices):
+        calls.append(len(matrices))
+        return models.CnnPredictor.forward_batch(model, matrices)
+
+    for ds in _scattered_subset():
+        want = _row_path(model, ds)
+        monkeypatch.setattr(model, "forward_batch", counting, raising=False)
+        for chunk in (32, models.PREDICT_CHUNK):
+            preds = model.predict_dataset(ds, chunk=chunk)
+            np.testing.assert_array_equal(preds, want)
+            _assert_fresh(preds, model, ds)
+        monkeypatch.undo()
+        assert calls == []
+
+
+def test_cnn_predict_dataset_of_a_scattered_subset_peaks_within_the_full_datasets():
+    # a subset's tiles are no larger than the full dataset's; per-snapshot
+    # passes through forward_batch would build backward caches that a
+    # prediction never reads
+    model = models.CnnPredictor.initialize(2)
+    peaks = []
+    for ds in _scattered_subset():
+        model.predict_dataset(ds)
+        peaks.append(_traced_peak(lambda: model.predict_dataset(ds))[0])
+    full, scattered = peaks
+    assert scattered <= full
 
 
 def _tiny_dataset(rows):
@@ -381,7 +400,6 @@ def test_predict_dataset_of_empty_and_tiny_datasets(kind, rows):
 
 @pytest.mark.parametrize("n_in,delta", [(5, 4), (4, 5)])
 def test_cnn_predict_dataset_rejects_other_snapshot_geometry(n_in, delta):
-    # a full dataset, whose blocks would all take the grid path
     spec = core.chain_network(16, 60.0, n_in=n_in, m_out=4)
     cfg = core.SnapshotConfig(delta=delta, n_in=n_in, m_out=4, step_minutes=30)
     ds = ingestion.window(make_network_series(np.full((16, 12), 0.5), spec), spec, cfg)
